@@ -200,10 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MembwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (MembwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,15 +9,21 @@ the memory demand mu distributed over the intervals so that the summed stall
 is maximized subject to mu^j <= W^j * q^j and sum mu^j <= mu. Because every
 per-interval curve is concave, a marginal-slope greedy is exact: always feed
 the interval whose curve is steepest at its current rate, jumping rates from
-segment start point to segment start point. The span iteration then mirrors
-the static one with S in place of the single-curve stall term.
+segment start point to segment start point.
+
+This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
+that both analyzers run. They differ only in the stall term S(W) they pass
+in: the split + greedy S above here, the single-curve term in
+:mod:`membw.static_analysis`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .results import AnalysisResult, AnalysisStatus, IntervalBreakdown, TraceEntry
@@ -97,7 +103,7 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
         assign[best] = new_value
         if total == memory:
             return MemoryAssignment(per_interval=tuple(assign), saturated=False)
-    raise AssertionError("greedy distribution exceeded its step bound")
+    raise InvariantError("greedy distribution exceeded its step bound")
 
 
 def stall_breakdown(
@@ -112,46 +118,70 @@ def stall_breakdown(
 
 
 def analyze_dynamic(
-    workload: Workload,
-    schedule: MemorySchedule,
-    core: int,
-    config: RegulationConfig,
-    curves: tuple[StallCurve, ...] | None = None,
+    workload: Workload, schedule: MemorySchedule, core: int, config: RegulationConfig
 ) -> AnalysisResult:
     """Fixed-point span analysis of one workload across a memory schedule.
 
     Converges to an upper bound on the span, or reports a deadline miss (an
     iterate no longer fits the deadline) or schedule exhaustion (an iterate
     outgrew a fully bounded schedule; the result carries the shortfall).
-    ``curves`` may be passed to reuse prebuilt per-interval stall curves.
     """
-    if schedule.q_total != config.transactions_per_period:
+    curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
+
+    def stall_term(span: int) -> tuple[Fraction, tuple]:
+        splits = split_span(schedule, span)
+        assignment = distribute_memory(splits, workload.memory, curves)
+        stalls = stall_breakdown(splits, assignment, curves)
+        return stalls.total, (splits, assignment, stalls)
+
+    def finish(span: int, detail: tuple) -> tuple[IntervalBreakdown, ...]:
+        splits, assignment, stalls = detail
+        if assignment.saturated:
+            raise InvariantError("fixed point must place all memory (saturation contradicts it)")
+        return tuple(
+            IntervalBreakdown(interval=j + 1, span=splits[j], memory=assignment.per_interval[j], stall=stalls.per_interval[j])
+            for j in range(len(splits))
+        )
+
+    return _fixed_point(workload, schedule.q_total, config, stall_term, finish)
+
+
+def _fixed_point(
+    workload: Workload,
+    q_total: int,
+    config: RegulationConfig,
+    stall_term: Callable[[int], tuple[Fraction, Any]],
+    finish: Callable[[int, Any], tuple[IntervalBreakdown, ...] | None],
+) -> AnalysisResult:
+    """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
+
+    ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
+    periods and whatever detail ``finish`` needs. ``finish(W, detail)`` runs
+    only at the fixed point: it checks the analyzer's convergence invariant
+    and returns the per-interval breakdown (or None). A
+    :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
+    analysis as schedule exhaustion.
+    """
+    if q_total != config.transactions_per_period:
         raise InvariantError(
-            f"schedule budgets sum to {schedule.q_total} but config provides "
+            f"budgets sum to {q_total} but config provides "
             f"{config.transactions_per_period} transactions per period"
         )
-    if curves is None:
-        curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
-    q_total = schedule.q_total
     beta = workload.beta
-    memory = workload.memory
     limit = deadline_periods(workload, config) if workload.deadline is not None else None
 
     span = -(-beta // q_total)
     trace = [TraceEntry(k=0, span=span, stall=Fraction(0))]
-    if limit is not None and span > limit:
-        return AnalysisResult(
-            status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
-        )
-
+    # A converging span is at most beta + 1 periods (q >= 1 and Q >= m), so
+    # the cap cannot fire on valid input.
     cap = (limit if limit is not None else beta) + 2
-    k = 0
-    while True:
-        k += 1
-        if k > cap:
-            raise AssertionError("dynamic iteration exceeded its defensive cap")
+    for k in range(1, cap + 1):
+        if limit is not None and span > limit:
+            return AnalysisResult(
+                status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
+            )
         try:
-            splits = split_span(schedule, span)
+            stall, detail = stall_term(span)
         except ScheduleExhaustedError as exc:
             return AnalysisResult(
                 status=AnalysisStatus.SCHEDULE_EXHAUSTED,
@@ -160,26 +190,17 @@ def analyze_dynamic(
                 trace=tuple(trace),
                 shortfall=exc.shortfall,
             )
-        assignment = distribute_memory(splits, memory, curves)
-        stalls = stall_breakdown(splits, assignment, curves)
-        nxt = math.ceil((beta + stalls.total) / q_total)
-        assert nxt >= span, "span iterates must be non-decreasing"
-        trace.append(TraceEntry(k=k, span=nxt, stall=stalls.total))
-        if limit is not None and nxt > limit:
-            return AnalysisResult(
-                status=AnalysisStatus.DEADLINE_MISS, span=nxt, length_slots=None, trace=tuple(trace)
-            )
+        nxt = math.ceil((beta + stall) / q_total)
+        if nxt < span:
+            raise InvariantError("span iterates must be non-decreasing")
+        trace.append(TraceEntry(k=k, span=nxt, stall=stall))
         if nxt == span:
-            assert not assignment.saturated, "fixed point must place all memory (saturation contradicts it)"
-            breakdown = tuple(
-                IntervalBreakdown(interval=j + 1, span=splits[j], memory=assignment.per_interval[j], stall=stalls.per_interval[j])
-                for j in range(len(splits))
-            )
             return AnalysisResult(
                 status=AnalysisStatus.CONVERGED,
-                span=nxt,
-                length_slots=nxt * q_total,
+                span=span,
+                length_slots=span * q_total,
                 trace=tuple(trace),
-                breakdown=breakdown,
+                breakdown=finish(span, detail),
             )
         span = nxt
+    raise InvariantError("fixed-point iteration exceeded its defensive cap")

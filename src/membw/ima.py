@@ -160,6 +160,25 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     return PartitionSet(partitions=tuple(partitions))
 
 
+def _largest_remainder(total: int, weights: list[Fraction]) -> list[int]:
+    """Integer shares of ``total`` in proportion to ``weights``.
+
+    Each share is floored, and the units left over go one each to the
+    largest fractional parts, lower index breaking ties. All-zero weights
+    fall back to even shares.
+    """
+    total_w = sum(weights)
+    if total_w == 0:
+        weights = [Fraction(1)] * len(weights)
+        total_w = len(weights)
+    shares = [total * w / total_w for w in weights]
+    floors = [int(s) for s in shares]
+    order = sorted(range(len(shares)), key=lambda i: (-(shares[i] - floors[i]), i))
+    for i in order[: total - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
 def split_budget_by_weights(q_total: int, weights: list[Fraction]) -> BudgetVector:
     """Integerize a weighted split of the total budget.
 
@@ -171,19 +190,7 @@ def split_budget_by_weights(q_total: int, weights: list[Fraction]) -> BudgetVect
     m = len(weights)
     if q_total < m:
         raise InvariantError(f"cannot split {q_total} transactions over {m} cores with floor 1")
-    total_w = sum(weights)
-    if total_w == 0:
-        weights = [Fraction(1)] * m
-        total_w = Fraction(m)
-    available = q_total - m
-    shares = [available * w / total_w for w in weights]
-    base = [int(s) for s in shares]
-    leftover = available - sum(base)
-    order = sorted(range(m), key=lambda i: (-(shares[i] - base[i]), i))
-    budgets = [1 + b for b in base]
-    for i in order[:leftover]:
-        budgets[i] += 1
-    return BudgetVector(tuple(budgets))
+    return BudgetVector(tuple(1 + share for share in _largest_remainder(q_total - m, weights)))
 
 
 def policy_se(config: ExperimentConfig) -> BudgetVector:
@@ -235,19 +242,9 @@ def _reclaim_vector(config: ExperimentConfig, base: BudgetVector, unfinished: li
     budgets = [1] * config.m
     for core in live:
         budgets[core - 1] = base.budget_of(core)
-    slack = config.q_total - sum(budgets)
     weights = _memory_weights(config, unfinished)
-    total_w = sum(weights[core - 1] for core in live)
-    if total_w == 0:
-        shares = [Fraction(slack, len(live))] * len(live)
-    else:
-        shares = [slack * weights[core - 1] / total_w for core in live]
-    floors = [int(s) for s in shares]
-    leftover = slack - sum(floors)
-    order = sorted(range(len(live)), key=lambda i: (-(shares[i] - floors[i]), live[i]))
-    for i in order[:leftover]:
-        floors[i] += 1
-    for core, extra in zip(live, floors):
+    extras = _largest_remainder(config.q_total - sum(budgets), [weights[core - 1] for core in live])
+    for core, extra in zip(live, extras):
         budgets[core - 1] += extra
     return BudgetVector(tuple(budgets))
 
@@ -292,7 +289,8 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
             return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
 
         t_next = min(events.values())
-        assert current_start < t_next <= horizon, "events must advance within the hyperperiod"
+        if not current_start < t_next <= horizon:
+            raise InvariantError("events must advance within the hyperperiod")
         built.append((current_vec, current_start, t_next))
         for core in [c for c, t in events.items() if t == t_next]:
             part, _ = active.pop(core)
@@ -330,7 +328,8 @@ def _hypothesize_span(
     for vec, seg_start, seg_end in built:
         if seg_start >= start:
             intervals.append(BudgetInterval(budgets=vec, length=seg_end - seg_start))
-    assert not intervals or built[-1][2] == current_start
+    if intervals and built[-1][2] != current_start:
+        raise InvariantError("built intervals must end where the current vector starts")
     intervals.append(BudgetInterval(budgets=current_vec, length=None))
     view = MemorySchedule(intervals=tuple(intervals))
     deadline = (horizon - start) * config.period

@@ -40,7 +40,8 @@ def oracle_max_stall(memory: int, span: int, raw: RawStallPoints) -> int:
                     best = below + values[k]
             cur[used] = best
         prev = cur
-    assert prev[memory] >= 0
+    if prev[memory] < 0:
+        raise InvariantError("oracle_max_stall: no per-period split places all memory")
     return prev[memory]
 
 
@@ -129,7 +130,8 @@ def worst_case_span_by_simulation(
         q, stall_values = per_period[t]
         for issued in range(min(q, memory) + 1):
             slots = q_total - issued - stall_values[issued]
-            assert slots >= 0
+            if slots < 0:
+                raise InvariantError("simulation: stall and issued transactions exceed the period")
             executed = min(execution, slots)
             if slots > executed and memory > issued:
                 continue

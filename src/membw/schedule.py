@@ -31,15 +31,11 @@ class RegulationConfig:
     ``q_total`` overrides the derived transactions-per-period count
     floor(period / l_max) for setups whose published L_max and Q disagree;
     when set, the effective slot length is period / q_total so that span,
-    deadline, and period arithmetic stay mutually consistent. ``l_min`` and
-    ``l_size`` are recorded for completeness but unused: the analysis always
-    charges the worst-case latency.
+    deadline, and period arithmetic stay mutually consistent.
     """
 
     period: Fraction
     l_max: Fraction
-    l_min: Fraction | None = None
-    l_size: int | None = None
     q_total: int | None = None
 
     def __post_init__(self) -> None:
@@ -226,7 +222,10 @@ def parse_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ScenarioError("scenario: malformed JSON: nested too deeply") from None
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the interpreter's digit limit.
         raise ScenarioError(f"scenario: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -237,12 +236,16 @@ def parse_scenario(text: str) -> Scenario:
     cfg = doc["config"]
     if not isinstance(cfg, dict) or "P" not in cfg or "L_max" not in cfg:
         raise ScenarioError("scenario: config must be an object with P and L_max")
+    # L_min and L_size are type-checked but unused: the analysis always
+    # charges the worst-case latency L_max.
+    if "L_min" in cfg:
+        _as_fraction(cfg["L_min"], "config.L_min")
+    if "L_size" in cfg:
+        _as_int(cfg["L_size"], "config.L_size")
     try:
         config = RegulationConfig(
             period=_as_fraction(cfg["P"], "config.P"),
             l_max=_as_fraction(cfg["L_max"], "config.L_max"),
-            l_min=_as_fraction(cfg["L_min"], "config.L_min") if "L_min" in cfg else None,
-            l_size=_as_int(cfg["L_size"], "config.L_size") if "L_size" in cfg else None,
             q_total=_as_int(cfg["Q"], "config.Q") if "Q" in cfg else None,
         )
 
@@ -298,4 +301,8 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario: not valid UTF-8: {exc}") from None
+    return parse_scenario(text)

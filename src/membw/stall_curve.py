@@ -118,7 +118,7 @@ class StallCurve:
     The domain is [0, q]; ``segments`` tile it, slopes strictly decreasing.
     Segment start points are the curve's "start points": the only places a
     maximizing assignment ever needs to land between, which is what the
-    greedy distributor exploits via :meth:`next_start` and :meth:`slope_at`.
+    greedy distributor exploits by jumping from one start point to the next.
     """
 
     core: int
@@ -164,24 +164,6 @@ class StallCurve:
         return Fraction(seg.value) + seg.slope * (r - seg.start)
 
     __call__ = value_at
-
-    def slope_at(self, r: Rational) -> Fraction:
-        """Slope of the segment containing ``r``; at a start point, the segment
-        beginning there. Defined as 0 at r = q so callers never need a guard."""
-        self._check_domain(r)
-        if r == self.q:
-            return Fraction(0)
-        return self.segments[bisect_right(self._starts, r) - 1].slope
-
-    def next_start(self, r: Rational) -> int | None:
-        """Least segment boundary strictly above ``r`` (the domain end q counts
-        as the final boundary). Returns None when ``r`` is already at q, i.e.
-        the rate is saturated and cannot advance."""
-        self._check_domain(r)
-        if r >= self.q:
-            return None
-        idx = bisect_right(self._starts, r)
-        return self._starts[idx] if idx < len(self._starts) else self.q
 
     def stall_over(self, span: int, memory: int) -> Fraction:
         """Exact span-cumulative stall: value_at(memory / span) * span.

@@ -11,71 +11,40 @@ iteration
 
 with beta = E + mu, evaluated in exact rational arithmetic. The sequence is
 non-decreasing and integer, so it either converges or crosses the deadline.
+
+Both analyzers share one iteration loop (in :mod:`membw.dynamic_analysis`);
+this module supplies only its own single-curve stall term, which the tests
+and the benchmark use as the independent reference for the dynamic split +
+greedy stall term on one-interval schedules.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .dynamic_analysis import _fixed_point
 from .errors import InvariantError
-from .results import AnalysisResult, AnalysisStatus, TraceEntry
-from .schedule import RegulationConfig, Workload, deadline_periods
-from .stall_curve import BudgetVector, StallCurve, curve_for_core
+from .results import AnalysisResult
+from .schedule import RegulationConfig, Workload
+from .stall_curve import BudgetVector, curve_for_core
 
 
-def analyze_static(
-    workload: Workload,
-    budgets: BudgetVector,
-    core: int,
-    config: RegulationConfig,
-    curve: StallCurve | None = None,
-) -> AnalysisResult:
+def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config: RegulationConfig) -> AnalysisResult:
     """Fixed-point span analysis for one workload under a static assignment.
 
     On convergence the result carries the span bound W and its length in
     slots (W * Q). If a deadline is set and an iterate exceeds it, the result
-    is a deadline miss carrying the first violating iterate. ``curve`` may be
-    passed to reuse a prebuilt stall curve for (budgets, core).
+    is a deadline miss carrying the first violating iterate.
     """
-    if budgets.total != config.transactions_per_period:
-        raise InvariantError(
-            f"budget vector sums to {budgets.total} but config provides "
-            f"{config.transactions_per_period} transactions per period"
-        )
-    if curve is None:
-        curve = curve_for_core(budgets, core)
+    curve = curve_for_core(budgets, core)
     q = curve.q
-    q_total = budgets.total
-    beta = workload.beta
-    limit = deadline_periods(workload, config) if workload.deadline is not None else None
+    memory = workload.memory
 
-    span = -(-beta // q_total)
-    trace = [TraceEntry(k=0, span=span, stall=Fraction(0))]
-    if limit is not None and span > limit:
-        return AnalysisResult(
-            status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
-        )
+    def stall_term(span: int) -> tuple[Fraction, None]:
+        return curve.stall_over(span, min(memory, span * q)), None
 
-    k = 0
-    while True:
-        k += 1
-        if limit is not None and k > limit + 2:
-            raise AssertionError("static iteration exceeded its defensive cap")
-        stall = curve.stall_over(span, min(workload.memory, span * q))
-        nxt = math.ceil((beta + stall) / q_total)
-        assert nxt >= span, "span iterates must be non-decreasing"
-        trace.append(TraceEntry(k=k, span=nxt, stall=stall))
-        if limit is not None and nxt > limit:
-            return AnalysisResult(
-                status=AnalysisStatus.DEADLINE_MISS, span=nxt, length_slots=None, trace=tuple(trace)
-            )
-        if nxt == span:
-            assert workload.memory < nxt * q, "fixed point must leave budget headroom (mu < W*q)"
-            return AnalysisResult(
-                status=AnalysisStatus.CONVERGED,
-                span=nxt,
-                length_slots=nxt * q_total,
-                trace=tuple(trace),
-            )
-        span = nxt
+    def finish(span: int, _detail: None) -> None:
+        if memory >= span * q:
+            raise InvariantError("fixed point must leave budget headroom (mu < W*q)")
+
+    return _fixed_point(workload, budgets.total, config, stall_term, finish)

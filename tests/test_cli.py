@@ -135,3 +135,47 @@ def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _write(directory, data: bytes) -> str:
+    path = directory / "scenario.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(lambda d: ["analyze-static", "--scenario", _write(d, b"\xff\xfe{}")], id="not-utf8"),
+        pytest.param(
+            lambda d: ["analyze-static", "--scenario", _write(d, b"[" * 100_000 + b"]" * 100_000)], id="deep-nesting"
+        ),
+        pytest.param(
+            lambda d: ["analyze-static", "--scenario", _write(d, b'{"config": {"P": ' + b"9" * 5000 + b"}}")],
+            id="huge-int-literal",
+        ),
+        pytest.param(lambda d: ["analyze-static", "--scenario", str(d)], id="scenario-is-directory"),
+        pytest.param(lambda d: ["experiment", "--preset", "smoke", "--out", str(d)], id="out-is-directory"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, make_argv):
+    monkeypatch.setenv("MEMBW_THREADS", "1")
+    code, _, err = run(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("extra", "expected_code"),
+    [('"L_min": 0.5, "L_size": 3', 0), ('"L_size": 1.5', 2)],
+)
+def test_config_latency_keys(capsys, tmp_path, extra, expected_code):
+    with open(STATIC, encoding="utf-8") as fh:
+        text = fh.read().replace('"L_max": 1', '"L_max": 1, ' + extra)
+    code, out, err = run(capsys, "analyze-static", "--scenario", _write(tmp_path, text.encode()))
+    assert code == expected_code
+    if expected_code == 0:
+        assert json.loads(out)["span_periods"] == 10
+    else:
+        assert "config.L_size must be an integer" in err

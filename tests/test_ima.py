@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from membw import AnalysisStatus, BudgetInterval, MemorySchedule, analyze_dynamic
+from membw import AnalysisStatus, BudgetInterval, BudgetVector, MemorySchedule, analyze_dynamic
 from membw.errors import InvariantError
 from membw.ima import (
     POLICIES,
     ExperimentConfig,
+    Partition,
     SweepConfig,
     SweepPoint,
     evaluate_schedulability,
@@ -20,6 +21,7 @@ from membw.ima import (
     preset_sweep,
     rows_to_csv,
     run_sweep,
+    _reclaim_vector,
     split_budget_by_weights,
 )
 
@@ -105,6 +107,19 @@ class TestBudgetSplitting:
         vec = policy_su(_set(), CFG)
         assert sum(vec.budgets) == 41666
         assert all(b >= 1 for b in vec.budgets)
+
+    def test_reclaim_vector_worked_case(self):
+        # Core 2 has finished and falls to the floor of 1. Live cores 1, 3
+        # and 4 have only memory-free partitions, so every live weight is 0
+        # and the 4 reclaimed transactions (20 - (5 + 1 + 6 + 4)) split
+        # evenly: 4/3 each, a three-way tie in fractional parts that core 1
+        # wins by index.
+        cfg = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(1, 2), q_total=20)
+        unfinished = [
+            Partition(id=pid, core=core, mi=Fraction(0), util=Fraction(1, 8), execution=10, memory=0)
+            for pid, core in enumerate((1, 3, 4))
+        ]
+        assert _reclaim_vector(cfg, BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
 
 
 class TestDynamicPolicy:

@@ -94,16 +94,6 @@ class TestEnvelope:
         assert curve.value_at(5) == 11
         assert curve(0) == 0
 
-    def test_slope_and_next_start(self):
-        curve = curve_for_core(VEC, 3)
-        assert curve.slope_at(0) == 3
-        assert curve.slope_at(2) == Fraction(5, 3)
-        assert curve.slope_at(5) == 0
-        assert curve.next_start(0) == 2
-        assert curve.next_start(2) == 5
-        assert curve.next_start(Fraction(9, 4)) == 5
-        assert curve.next_start(5) is None
-
     def test_rejects_out_of_domain(self):
         curve = curve_for_core(VEC, 3)
         with pytest.raises(InvariantError):
