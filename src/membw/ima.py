@@ -22,7 +22,12 @@ Policies:
   are hypothesized by analyzing each running partition against the
   schedule built so far plus the current vector extended indefinitely; the
   earliest hypothesis is the next event. Same-period completions collapse
-  into a single event.
+  into a single event. In that view each run of equal vectors is merged
+  into one interval, which gives the same span; so while the vector stays
+  the same, a running partition's view and hypothesis stay the same, and
+  the hypothesis is reused until the partition completes or the vector
+  changes. The vector changes only when some core finishes its last
+  partition, so most events analyze only the partitions that just started.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -258,9 +263,16 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     the unfinished partitions' remaining demands. Between events budgets are
     constant, so advancing event-to-event is exact. A running partition's
     completion is hypothesized by analyzing it over the intervals built since
-    its start plus the current vector extended indefinitely; the earliest
+    its start plus the current vector extended indefinitely (see
+    ``_hypothesize_span`` for why that view is merged); the earliest
     hypothesis is the next event, at which point that hypothesis matches the
     as-built schedule through the completion.
+
+    A hypothesis is kept until its partition completes or the vector
+    changes: while the vector stays the same, the merged view of every
+    running partition stays the same, and so does its hypothesis. The
+    returned schedule is not merged: one interval per event plus the
+    unbounded tail.
     """
     reg = config.regulation
     horizon = config.hyperperiod_periods
@@ -276,24 +288,28 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     current_vec = base
     current_start = 0
     completions: dict[int, int] = {}
+    # Completion period hypothesized for each running partition, or None
+    # when it cannot complete under the current vector.
+    events: dict[int, int | None] = {}
 
     while active:
-        events: dict[int, int] = {}
         for core, (part, start) in active.items():
-            span = _hypothesize_span(part, start, built, current_vec, current_start, core, reg, horizon, config)
-            if span is not None:
-                events[core] = start + span
-        if not events:
+            if core not in events:
+                span = _hypothesize_span(part, start, built, current_vec, core, reg, horizon, config)
+                events[core] = None if span is None else start + span
+        pending = [t for t in events.values() if t is not None]
+        if not pending:
             # Every running partition misses under the current vector and no
             # completion will ever change it.
             return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
 
-        t_next = min(events.values())
+        t_next = min(pending)
         if not current_start < t_next <= horizon:
             raise InvariantError("events must advance within the hyperperiod")
         built.append((current_vec, current_start, t_next))
         for core in [c for c, t in events.items() if t == t_next]:
             part, _ = active.pop(core)
+            del events[core]
             completions[part.id] = t_next
             unfinished.remove(part)
             if queues[core]:
@@ -301,7 +317,10 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
                     # Successor would start at (or past) the deadline.
                     return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
                 active[core] = (queues[core].pop(0), t_next)
-        current_vec = _reclaim_vector(config, base, unfinished)
+        next_vec = _reclaim_vector(config, base, unfinished)
+        if next_vec != current_vec:
+            events.clear()
+        current_vec = next_vec
         current_start = t_next
 
     intervals = tuple(BudgetInterval(budgets=v, length=end - start) for v, start, end in built)
@@ -316,22 +335,34 @@ def _hypothesize_span(
     start: int,
     built: list[tuple[BudgetVector, int, int]],
     current_vec: BudgetVector,
-    current_start: int,
     core: int,
     reg: RegulationConfig,
     horizon: int,
     config: ExperimentConfig,
 ) -> int | None:
     """Span of ``part`` from its start period under the schedule so far, or
-    None if it cannot converge within its slice of the hyperperiod."""
-    intervals = []
+    None if it cannot converge within its slice of the hyperperiod.
+
+    The view is the built intervals from ``start`` on, with every run of
+    adjacent equal vectors merged into one interval, and a run in
+    ``current_vec`` merged into the final unbounded interval. Merging gives
+    the same span and trace as the unmerged view: one vector gives every
+    piece of a run the same concave curve, whose segment start points are
+    integers, so the greedy distributor leaves every piece on the same
+    linear segment, and the pieces' stalls sum to the merged interval's.
+    """
+    runs: list[list] = []
     for vec, seg_start, seg_end in built:
-        if seg_start >= start:
-            intervals.append(BudgetInterval(budgets=vec, length=seg_end - seg_start))
-    if intervals and built[-1][2] != current_start:
-        raise InvariantError("built intervals must end where the current vector starts")
-    intervals.append(BudgetInterval(budgets=current_vec, length=None))
-    view = MemorySchedule(intervals=tuple(intervals))
+        if seg_start < start:
+            continue
+        if runs and runs[-1][0] == vec:
+            runs[-1][1] += seg_end - seg_start
+        else:
+            runs.append([vec, seg_end - seg_start])
+    if runs and runs[-1][0] == current_vec:
+        runs.pop()
+    intervals = tuple(BudgetInterval(budgets=vec, length=length) for vec, length in runs)
+    view = MemorySchedule(intervals=intervals + (BudgetInterval(budgets=current_vec, length=None),))
     deadline = (horizon - start) * config.period
     result = analyze_dynamic(part.workload(deadline), view, core, reg)
     return result.span if result.status is AnalysisStatus.CONVERGED else None

@@ -207,6 +207,21 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+MAX_DECIMAL_EXPONENT = 4300
+"""Largest exponent magnitude accepted in a decimal literal such as ``1e-9``.
+
+Literals are read exactly, so ``1e1000000`` would build a million-digit power
+of ten; the bound matches the interpreter's default limit on integer digits.
+"""
+
+
+def _parse_decimal(literal: str) -> Fraction:
+    _, _, exponent = literal.lower().partition("e")
+    if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent {exponent} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(literal)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a JSON scenario, reading all numeric literals exactly.
 
@@ -221,11 +236,12 @@ def parse_scenario(text: str) -> Scenario:
         }
     """
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=_parse_decimal)
     except RecursionError:
         raise ScenarioError("scenario: malformed JSON: nested too deeply") from None
     except ValueError as exc:
-        # JSONDecodeError, or an integer literal past the interpreter's digit limit.
+        # JSONDecodeError, an integer literal past the interpreter's digit
+        # limit, or a decimal exponent past MAX_DECIMAL_EXPONENT.
         raise ScenarioError(f"scenario: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")

@@ -143,6 +143,12 @@ def _write(directory, data: bytes) -> str:
     return str(path)
 
 
+def _static_with(extra: str) -> bytes:
+    """The static worked example with ``extra`` added to its config."""
+    with open(STATIC, encoding="utf-8") as fh:
+        return fh.read().replace('"L_max": 1', '"L_max": 1, ' + extra).encode()
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -153,6 +159,12 @@ def _write(directory, data: bytes) -> str:
         pytest.param(
             lambda d: ["analyze-static", "--scenario", _write(d, b'{"config": {"P": ' + b"9" * 5000 + b"}}")],
             id="huge-int-literal",
+        ),
+        pytest.param(
+            # Valid but for the exponent; parsing it exactly would take a
+            # million-digit power of ten.
+            lambda d: ["analyze-static", "--scenario", _write(d, _static_with('"L_min": 1e1000000'))],
+            id="huge-decimal-exponent",
         ),
         pytest.param(lambda d: ["analyze-static", "--scenario", str(d)], id="scenario-is-directory"),
         pytest.param(lambda d: ["experiment", "--preset", "smoke", "--out", str(d)], id="out-is-directory"),
@@ -168,12 +180,10 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, make_argv):
 
 @pytest.mark.parametrize(
     ("extra", "expected_code"),
-    [('"L_min": 0.5, "L_size": 3', 0), ('"L_size": 1.5', 2)],
+    [('"L_min": 0.5, "L_size": 3', 0), ('"L_min": 1e-4300', 0), ('"L_size": 1.5', 2)],
 )
 def test_config_latency_keys(capsys, tmp_path, extra, expected_code):
-    with open(STATIC, encoding="utf-8") as fh:
-        text = fh.read().replace('"L_max": 1', '"L_max": 1, ' + extra)
-    code, out, err = run(capsys, "analyze-static", "--scenario", _write(tmp_path, text.encode()))
+    code, out, err = run(capsys, "analyze-static", "--scenario", _write(tmp_path, _static_with(extra)))
     assert code == expected_code
     if expected_code == 0:
         assert json.loads(out)["span_periods"] == 10

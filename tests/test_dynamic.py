@@ -191,6 +191,53 @@ def test_unbounded_single_interval_specializes_to_static(inst):
     assert dyn.trace == sta.trace
 
 
+@st.composite
+def schedule_and_cut(draw):
+    """A random schedule, a workload on one core, and the same schedule with
+    one interval cut into two adjacent intervals of the same vector."""
+    m = draw(st.integers(2, 4))
+    first = tuple(draw(st.integers(1, 6)) for _ in range(m))
+    total = sum(first)
+    vectors = [BudgetVector(first)]
+    n = draw(st.integers(1, 3))
+    for _ in range(n - 1):
+        # Another m-part composition of the same total, every part >= 1.
+        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=m - 1, max_size=m - 1, unique=True)))
+        vectors.append(BudgetVector(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))))
+    lengths = [draw(st.integers(1, 6)) for _ in range(n - 1)]
+    lengths.append(draw(st.one_of(st.none(), st.integers(2, 12))))
+    intervals = [BudgetInterval(budgets=v, length=length) for v, length in zip(vectors, lengths)]
+
+    # Cut interval j: a bounded one of length >= 2 into two bounded pieces,
+    # or a bounded prefix off the unbounded tail.
+    j = draw(st.sampled_from([i for i, iv in enumerate(intervals) if iv.length is None or iv.length >= 2]))
+    vec, length = intervals[j].budgets, intervals[j].length
+    head = draw(st.integers(1, 8 if length is None else length - 1))
+    rest = None if length is None else length - head
+    pieces = [BudgetInterval(budgets=vec, length=head), BudgetInterval(budgets=vec, length=rest)]
+    cut = intervals[:j] + pieces + intervals[j + 1 :]
+
+    core = draw(st.integers(1, m))
+    cfg = RegulationConfig(period=Fraction(total), l_max=Fraction(1))
+    deadline = draw(st.one_of(st.none(), st.integers(1, 40).map(lambda periods: Fraction(periods * total))))
+    wl = Workload(execution=draw(st.integers(1, 60)), memory=draw(st.integers(0, 80)), deadline=deadline)
+    return MemorySchedule(intervals=tuple(intervals)), MemorySchedule(intervals=tuple(cut)), core, cfg, wl
+
+
+@given(schedule_and_cut())
+@settings(max_examples=300, deadline=None)
+def test_cutting_an_interval_in_two_changes_nothing(inst):
+    # The DY hypotheses merge adjacent equal-vector intervals; this pins that
+    # the merged and unmerged views give the same analysis.
+    merged, cut, core, cfg, wl = inst
+    a = analyze_dynamic(wl, merged, core, cfg)
+    b = analyze_dynamic(wl, cut, core, cfg)
+    assert a.status is b.status
+    assert a.span == b.span
+    assert a.shortfall == b.shortfall
+    assert a.trace == b.trace
+
+
 def test_generous_prefix_budget_never_hurts():
     # Raising core 3's own budget (and so lowering everyone else's) in the
     # first interval gives a pointwise lower stall curve there; the span

@@ -158,20 +158,37 @@ class TestDynamicPolicy:
                 break
             start += interval.length
 
-    def test_completions_match_reanalysis_of_built_schedule(self):
+    @pytest.mark.parametrize(
+        ("m", "mir", "u", "seed"),
+        [
+            pytest.param(4, Fraction(1, 4), Fraction(1, 2), 3, id="m4-mir0.25-u0.50-seed3"),
+            pytest.param(4, Fraction(15, 100), Fraction(1, 2), 3, id="m4-mir0.15-u0.50-seed3"),
+            pytest.param(4, Fraction(1, 2), Fraction(3, 10), 3, id="m4-mir0.50-u0.30-seed3"),
+            pytest.param(8, Fraction(15, 100), Fraction(1, 2), 0, id="m8-mir0.15-u0.50-seed0"),
+            pytest.param(8, Fraction(1, 2), Fraction(1, 5), 1, id="m8-mir0.50-u0.20-seed1"),
+            pytest.param(12, Fraction(15, 100), Fraction(3, 10), 2, id="m12-mir0.15-u0.30-seed2"),
+            pytest.param(12, Fraction(1, 2), Fraction(3, 20), 3, id="m12-mir0.50-u0.15-seed3"),
+        ],
+    )
+    def test_completions_match_reanalysis_of_built_schedule(self, m, mir, u, seed):
         # Soundness of the event construction: every recorded completion must
         # equal what the analyzer says when run over the final as-built
-        # schedule from the partition's actual start period.
-        pset = _set(3)
-        outcome = policy_dy(pset, CFG)
+        # schedule from the partition's actual start period. The hypotheses
+        # ran over merged views; this replay runs over the unmerged schedule.
+        cfg = ExperimentConfig(m=m, mir=mir, u=u)
+        pset = _set(seed, cfg)
+        outcome = policy_dy(pset, cfg)
         assert outcome.schedulable
-        reg = CFG.regulation
-        horizon = CFG.hyperperiod_periods
-        for core in range(1, CFG.m + 1):
+        # The as-built schedule stays unmerged: one interval per event plus
+        # the unbounded tail.
+        assert len(outcome.schedule.intervals) == len(set(outcome.completions.values())) + 1
+        reg = cfg.regulation
+        horizon = cfg.hyperperiod_periods
+        for core in range(1, cfg.m + 1):
             start = 0
             for part in pset.by_core(core):
                 view = _tail(outcome.schedule, start)
-                res = analyze_dynamic(part.workload((horizon - start) * CFG.period), view, core, reg)
+                res = analyze_dynamic(part.workload((horizon - start) * cfg.period), view, core, reg)
                 assert res.status is AnalysisStatus.CONVERGED
                 assert start + res.span == outcome.completions[part.id]
                 start += res.span
