@@ -15,14 +15,20 @@ This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
 that both analyzers run. They differ only in the stall term S(W) they pass
 in: the split + greedy S above here, the single-curve term in
 :mod:`membw.static_analysis`.
+
+Answers are exact. Inside the loop a stall is an integer numerator over the
+least common multiple of the widths of the curve segments it lands on, and
+the next iterate is an integer ceiling division. A :class:`Fraction` is built
+only at the trace and result boundary: one per iterate, and one per interval
+of the converged breakdown.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .errors import InvariantError, ScheduleExhaustedError
@@ -31,7 +37,7 @@ from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_perio
 from .stall_curve import StallCurve, curve_for_core
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryAssignment:
     """Per-interval transaction counts chosen by the distributor.
 
@@ -48,7 +54,7 @@ class MemoryAssignment:
         return sum(self.per_interval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StallBreakdown:
     """Per-interval stalls S^j and their sum."""
 
@@ -81,24 +87,20 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     max_steps = sum(len(c.segments) + 1 for c in curves) + 1
     for _ in range(max_steps):
         best = -1
-        best_num = 0
-        best_den = 1
-        best_seg = 0
+        best_seg = None
         for j in range(n):
             if assign[j] >= caps[j]:
                 continue
             curve = curves[j]
-            seg_idx = curve._segment_index(assign[j], splits[j])
-            slope = curve.segments[seg_idx].slope
-            if best < 0 or slope.numerator * best_den > best_num * slope.denominator:
-                best, best_num, best_den, best_seg = j, slope.numerator, slope.denominator, seg_idx
+            seg = curve.segments[curve._segment_index(assign[j], splits[j])]
+            # Steeper slope, by cross-multiplying rise/width (widths > 0).
+            if best < 0 or seg.rise * best_seg.width > best_seg.rise * seg.width:
+                best, best_seg = j, seg
         if best < 0:
             return MemoryAssignment(per_interval=tuple(assign), saturated=True)
-        curve = curves[best]
-        starts = curve.start_points
-        boundary = starts[best_seg + 1] if best_seg + 1 < len(starts) else curve.q
+        # Fill interval ``best`` up to its segment's end (or the headroom).
         headroom = memory - (total - assign[best])
-        new_value = min(headroom, boundary * splits[best])
+        new_value = min(headroom, (best_seg.start + best_seg.width) * splits[best])
         total += new_value - assign[best]
         assign[best] = new_value
         if total == memory:
@@ -117,6 +119,18 @@ def stall_breakdown(
     return StallBreakdown(per_interval=stalls, total=sum(stalls, Fraction(0)))
 
 
+def _total_stall_ratio(
+    splits: tuple[int, ...], assignment: MemoryAssignment, curves: tuple[StallCurve, ...]
+) -> tuple[int, int]:
+    """``stall_breakdown(...).total`` as an unreduced integer ratio."""
+    num, den = 0, 1
+    for span, memory, curve in zip(splits, assignment.per_interval, curves):
+        n, d = curve.stall_ratio(span, memory)
+        g = gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    return num, den
+
+
 def analyze_dynamic(
     workload: Workload, schedule: MemorySchedule, core: int, config: RegulationConfig
 ) -> AnalysisResult:
@@ -128,16 +142,17 @@ def analyze_dynamic(
     """
     curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
 
-    def stall_term(span: int) -> tuple[Fraction, tuple]:
+    def stall_term(span: int) -> tuple[int, int, tuple]:
         splits = split_span(schedule, span)
         assignment = distribute_memory(splits, workload.memory, curves)
-        stalls = stall_breakdown(splits, assignment, curves)
-        return stalls.total, (splits, assignment, stalls)
+        num, den = _total_stall_ratio(splits, assignment, curves)
+        return num, den, (splits, assignment)
 
     def finish(span: int, detail: tuple) -> tuple[IntervalBreakdown, ...]:
-        splits, assignment, stalls = detail
+        splits, assignment = detail
         if assignment.saturated:
             raise InvariantError("fixed point must place all memory (saturation contradicts it)")
+        stalls = stall_breakdown(splits, assignment, curves)
         return tuple(
             IntervalBreakdown(interval=j + 1, span=splits[j], memory=assignment.per_interval[j], stall=stalls.per_interval[j])
             for j in range(len(splits))
@@ -150,13 +165,14 @@ def _fixed_point(
     workload: Workload,
     q_total: int,
     config: RegulationConfig,
-    stall_term: Callable[[int], tuple[Fraction, Any]],
+    stall_term: Callable[[int], tuple[int, int, Any]],
     finish: Callable[[int, Any], tuple[IntervalBreakdown, ...] | None],
 ) -> AnalysisResult:
     """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
 
     ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
-    periods and whatever detail ``finish`` needs. ``finish(W, detail)`` runs
+    periods as a numerator and a positive denominator, both integers, and
+    whatever detail ``finish`` needs. ``finish(W, detail)`` runs
     only at the fixed point: it checks the analyzer's convergence invariant
     and returns the per-interval breakdown (or None). A
     :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
@@ -181,7 +197,7 @@ def _fixed_point(
                 status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
             )
         try:
-            stall, detail = stall_term(span)
+            num, den, detail = stall_term(span)
         except ScheduleExhaustedError as exc:
             return AnalysisResult(
                 status=AnalysisStatus.SCHEDULE_EXHAUSTED,
@@ -190,10 +206,10 @@ def _fixed_point(
                 trace=tuple(trace),
                 shortfall=exc.shortfall,
             )
-        nxt = math.ceil((beta + stall) / q_total)
+        nxt = -(-(beta * den + num) // (q_total * den))
         if nxt < span:
             raise InvariantError("span iterates must be non-decreasing")
-        trace.append(TraceEntry(k=k, span=nxt, stall=stall))
+        trace.append(TraceEntry(k=k, span=nxt, stall=Fraction(num, den)))
         if nxt == span:
             return AnalysisResult(
                 status=AnalysisStatus.CONVERGED,

@@ -13,7 +13,7 @@ class AnalysisStatus(enum.Enum):
     SCHEDULE_EXHAUSTED = "schedule-exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One fixed-point iterate: span candidate W_(k) and the cumulative stall
     S_(k) computed from the previous iterate (0 for the seed entry k = 0)."""
@@ -23,7 +23,7 @@ class TraceEntry:
     stall: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalBreakdown:
     """Converged per-interval detail: periods W^j, memory mu^j, stall S^j."""
 
@@ -33,7 +33,7 @@ class IntervalBreakdown:
     stall: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisResult:
     """Outcome of a span analysis.
 

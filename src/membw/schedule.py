@@ -24,7 +24,7 @@ from .stall_curve import BudgetVector
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegulationConfig:
     """Memory regulation parameters.
 
@@ -63,7 +63,7 @@ class RegulationConfig:
         return self.l_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Workload:
     """One deadline-constrained demand: E execution slots, mu transactions.
 
@@ -90,7 +90,7 @@ class Workload:
         return self.execution + self.memory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetInterval:
     """A budget vector in force for ``length`` periods (None = unbounded)."""
 
@@ -102,7 +102,7 @@ class BudgetInterval:
             raise InvariantError("budget interval: length must be an integer >= 1 or unbounded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemorySchedule:
     """Ordered budget intervals, all over the same cores and total budget."""
 
@@ -174,25 +174,24 @@ def deadline_periods(workload: Workload, config: RegulationConfig) -> int:
     return int(workload.deadline / period_duration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioWorkload:
     core: int
     workload: Workload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     config: RegulationConfig
     schedule: MemorySchedule
     workloads: tuple[ScenarioWorkload, ...]
 
     def workload_for_core(self, core: int) -> Workload:
-        matches = [w.workload for w in self.workloads if w.core == core]
-        if not matches:
-            raise ScenarioError(f"scenario: no workload for core {core}")
-        if len(matches) > 1:
-            raise ScenarioError(f"scenario: multiple workloads for core {core}; pick one per core")
-        return matches[0]
+        # parse_scenario rejects duplicate cores, so the first match is the only one.
+        for w in self.workloads:
+            if w.core == core:
+                return w.workload
+        raise ScenarioError(f"scenario: no workload for core {core}")
 
 
 def _as_fraction(value, what: str) -> Fraction:

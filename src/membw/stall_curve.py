@@ -13,8 +13,8 @@ per-period stall, in transaction slots, is
 The analyzers need a concave majorant of these q_i + 1 points, because a
 concave curve lets the worst case over a whole span be bounded by evaluating
 at the mean per-period rate. :func:`concave_envelope` builds the upper convex
-hull of the raw points; :class:`StallCurve` stores it as a segment table and
-evaluates it with exact rational arithmetic.
+hull of the raw points; :class:`StallCurve` stores it as a segment table of
+integer rises over integer widths and evaluates it exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import InvariantError
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetVector:
     """Per-core memory budgets (transactions per regulation period).
 
@@ -101,17 +101,24 @@ def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
     return RawStallPoints(core=core, values=tuple(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
-    """One linear piece of a stall curve: value(r) = value + slope * (r - start)."""
+    """One linear piece of a stall curve: value(r) = value + rise * (r - start) / width.
+
+    The piece runs from (start, value) to (start + width, value + rise).
+    """
 
     start: int
     value: int
-    slope: Fraction
+    rise: int
     width: int
 
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.rise, self.width)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class StallCurve:
     """Concave piecewise-linear upper bound on per-period stall vs. memory rate.
 
@@ -138,11 +145,12 @@ class StallCurve:
                 raise InvariantError("stall curve: segments must tile the domain without gaps")
             if s.width < 1:
                 raise InvariantError("stall curve: segment widths must be >= 1")
-            if i > 0 and s.slope >= segs[i - 1].slope:
-                raise InvariantError("stall curve: slopes must be strictly decreasing (concavity)")
             if i > 0:
                 prev = segs[i - 1]
-                if prev.value + prev.slope * prev.width != s.value:
+                # s.rise / s.width >= prev.rise / prev.width, widths positive.
+                if s.rise * prev.width >= prev.rise * s.width:
+                    raise InvariantError("stall curve: slopes must be strictly decreasing (concavity)")
+                if prev.value + prev.rise != s.value:
                     raise InvariantError("stall curve: segment values must be continuous")
             pos += s.width
         if pos != self.q:
@@ -168,15 +176,25 @@ class StallCurve:
     def stall_over(self, span: int, memory: int) -> Fraction:
         """Exact span-cumulative stall: value_at(memory / span) * span.
 
-        Single rational construction; the hot path of both analyzers. The
-        caller guarantees 0 <= memory <= span * q.
+        Requires 0 <= memory <= span * q. The analyzers' loop uses the
+        integer :meth:`stall_ratio` instead and builds a :class:`Fraction`
+        only for the trace and the result; the value is the same.
+        """
+        return Fraction(*self.stall_ratio(span, memory))
+
+    def stall_ratio(self, span: int, memory: int) -> tuple[int, int]:
+        """:meth:`stall_over` as an unreduced integer ratio (numerator, width).
+
+        The stall is value * span + rise * (memory - start * span) / width on
+        the segment that ``memory / span`` falls on; the ratio keeps that
+        segment's width as denominator (1 for ``span == 0``).
         """
         if span == 0:
-            return Fraction(0)
+            return 0, 1
         if memory < 0 or memory > span * self.q:
             raise InvariantError(f"memory {memory} outside feasible range [0, {span * self.q}] for span {span}")
         seg = self.segments[self._segment_index(memory, span)]
-        return seg.value * span + seg.slope * (memory - seg.start * span)
+        return seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width
 
     def _segment_index(self, memory: int, span: int) -> int:
         # Locate the segment whose scaled domain [start*span, end*span] holds
@@ -226,7 +244,7 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _curve_from_vertices(core: int, q: int, vertices: list[tuple[int, int]]) -> StallCurve:
     segments = []
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        segments.append(Segment(start=x0, value=y0, slope=Fraction(y1 - y0, x1 - x0), width=x1 - x0))
+        segments.append(Segment(start=x0, value=y0, rise=y1 - y0, width=x1 - x0))
     return StallCurve(core=core, q=q, segments=tuple(segments))
 
 
@@ -249,8 +267,16 @@ def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
     return _cached_curve(budgets, core)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=2048)
 def _cached_curve(budgets: BudgetVector, core: int) -> StallCurve:
+    """The curves of recently used (budgets, core) pairs.
+
+    2048 entries cover the working set with room to spare: one IMA partition
+    set touches at most about m x (number of DY events) curves, under 600 at
+    m = 12; one CLI call touches one curve per schedule interval; and across
+    sets only SE's handful of even-split curves repeat. A larger cache only
+    holds curves that are never asked for again.
+    """
     q = budgets.budget_of(core)
     others = budgets.others(core)
     xs = {0, q - 1, q}

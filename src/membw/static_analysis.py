@@ -9,8 +9,10 @@ iteration
     W_(0) = ceil(beta / Q)
     W_(k) = ceil((beta + I(min(mu / W_(k-1), q)) * W_(k-1)) / Q)
 
-with beta = E + mu, evaluated in exact rational arithmetic. The sequence is
-non-decreasing and integer, so it either converges or crosses the deadline.
+with beta = E + mu, evaluated exactly (integer numerators over the curve
+segment's width; see :meth:`membw.stall_curve.StallCurve.stall_ratio`). The
+sequence is non-decreasing and integer, so it either converges or crosses the
+deadline.
 
 Both analyzers share one iteration loop (in :mod:`membw.dynamic_analysis`);
 this module supplies only its own single-curve stall term, which the tests
@@ -19,8 +21,6 @@ greedy stall term on one-interval schedules.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .dynamic_analysis import _fixed_point
 from .errors import InvariantError
@@ -40,8 +40,9 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
     q = curve.q
     memory = workload.memory
 
-    def stall_term(span: int) -> tuple[Fraction, None]:
-        return curve.stall_over(span, min(memory, span * q)), None
+    def stall_term(span: int) -> tuple[int, int, None]:
+        num, den = curve.stall_ratio(span, min(memory, span * q))
+        return num, den, None
 
     def finish(span: int, _detail: None) -> None:
         if memory >= span * q:

@@ -67,6 +67,26 @@ class TestAnalyzeDynamic:
         assert tail == ["1,5,19,45", "2,2,6,16", "3,0,0,0"]
 
 
+def test_saturated_climb_trace(capsys, tmp_path):
+    # Core 1 holds one transaction per period: 8001 iterates, one per period.
+    doc = {
+        "config": {"P": 41666, "L_max": 1},
+        "schedule": [{"budgets": [1, 20000, 21665], "length": "unbounded"}],
+        "workloads": [{"core": 1, "E": 50, "mu": 8000}],
+    }
+    path = _write(tmp_path, json.dumps(doc).encode())
+    rows = {}
+    for command in ("analyze-static", "analyze-dynamic"):
+        code, out, _ = run(capsys, command, "--scenario", path, "--trace")
+        assert code == 0
+        assert '"iterations": 8001' in out
+        lines = out.splitlines()
+        rows[command] = lines[lines.index("k,W,S") :]
+    assert rows["analyze-static"] == rows["analyze-dynamic"]
+    assert len(rows["analyze-static"]) == 1 + 8002
+    assert rows["analyze-static"][-1] == "8001,8001,333320000"
+
+
 class TestDumpCurve:
     def test_points_golden(self, capsys):
         code, out, _ = run(capsys, "dump-curve", "--scenario", STATIC)

@@ -1,5 +1,6 @@
 """Greedy memory distribution over intervals and the dynamic fixed point."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from membw import (
     BudgetVector,
     MemorySchedule,
     RegulationConfig,
+    TraceEntry,
     Workload,
     analyze_dynamic,
     analyze_static,
@@ -20,6 +22,7 @@ from membw import (
     curve_for_core,
     distribute_memory,
     oracle_distribute,
+    split_span,
     stall_breakdown,
 )
 
@@ -171,6 +174,35 @@ class TestAnalyzeDynamic:
         assert dyn.trace == sta.trace
 
 
+# Core 1 holds one transaction per period, so the fixed point climbs by one
+# period per iterate: the longest trace either analyzer produces on the
+# benchmark's saturated files.
+SATURATED_BUDGETS = BudgetVector((1, 20000, 21665))
+SATURATED_CFG = RegulationConfig(period=Fraction(41666), l_max=Fraction(1))
+SATURATED = Workload(execution=50, memory=8000)
+
+
+def test_saturated_climb_is_pinned():
+    sta = analyze_static(SATURATED, SATURATED_BUDGETS, 1, SATURATED_CFG)
+    dyn = analyze_dynamic(SATURATED, MemorySchedule.static(SATURATED_BUDGETS), 1, SATURATED_CFG)
+    assert sta.span == dyn.span == 8001
+    assert len(sta.trace) == len(dyn.trace) == 8002
+    expected = {
+        0: TraceEntry(k=0, span=1, stall=Fraction(0)),
+        4001: TraceEntry(k=4001, span=4002, stall=Fraction(166701665)),
+        8001: TraceEntry(k=8001, span=8001, stall=Fraction(333320000)),
+    }
+    for k, entry in expected.items():
+        assert sta.trace[k] == dyn.trace[k] == entry
+    # Answers stay exact rationals at the result boundary, whatever the
+    # engine computes in between.
+    assert all(type(t.stall) is Fraction for t in sta.trace + dyn.trace)
+    assert [(b.span, b.memory, b.stall) for b in dyn.breakdown] == [(8001, 8000, 333320000)]
+    assert all(type(b.stall) is Fraction for b in dyn.breakdown)
+    curve = curve_for_core(SATURATED_BUDGETS, 1)
+    assert all(type(curve.stall_over(w, mu)) is Fraction for w, mu in ((0, 0), (8001, 8000), (3, 3)))
+
+
 @st.composite
 def workload_and_vector(draw):
     m = draw(st.integers(2, 4))
@@ -191,19 +223,26 @@ def test_unbounded_single_interval_specializes_to_static(inst):
     assert dyn.trace == sta.trace
 
 
+def _draw_vectors(draw, m: int, n: int) -> list[BudgetVector]:
+    """n budget vectors over m cores, all summing to the first one's total."""
+    first = tuple(draw(st.integers(1, 6)) for _ in range(m))
+    total = sum(first)
+    vectors = [BudgetVector(first)]
+    for _ in range(n - 1):
+        # Another m-part composition of the same total, every part >= 1.
+        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=m - 1, max_size=m - 1, unique=True)))
+        vectors.append(BudgetVector(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))))
+    return vectors
+
+
 @st.composite
 def schedule_and_cut(draw):
     """A random schedule, a workload on one core, and the same schedule with
     one interval cut into two adjacent intervals of the same vector."""
     m = draw(st.integers(2, 4))
-    first = tuple(draw(st.integers(1, 6)) for _ in range(m))
-    total = sum(first)
-    vectors = [BudgetVector(first)]
     n = draw(st.integers(1, 3))
-    for _ in range(n - 1):
-        # Another m-part composition of the same total, every part >= 1.
-        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=m - 1, max_size=m - 1, unique=True)))
-        vectors.append(BudgetVector(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))))
+    vectors = _draw_vectors(draw, m, n)
+    total = vectors[0].total
     lengths = [draw(st.integers(1, 6)) for _ in range(n - 1)]
     lengths.append(draw(st.one_of(st.none(), st.integers(2, 12))))
     intervals = [BudgetInterval(budgets=v, length=length) for v, length in zip(vectors, lengths)]
@@ -236,6 +275,38 @@ def test_cutting_an_interval_in_two_changes_nothing(inst):
     assert a.span == b.span
     assert a.shortfall == b.shortfall
     assert a.trace == b.trace
+
+
+@st.composite
+def schedule_and_workload(draw):
+    """A 1-6 interval schedule (open or fully bounded) and a workload with or
+    without a deadline."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    vectors = _draw_vectors(draw, m, n)
+    total = vectors[0].total
+    lengths = [draw(st.integers(1, 6)) for _ in range(n - 1)]
+    lengths.append(draw(st.one_of(st.none(), st.integers(1, 12))))
+    schedule = MemorySchedule(intervals=tuple(BudgetInterval(budgets=v, length=n_) for v, n_ in zip(vectors, lengths)))
+    cfg = RegulationConfig(period=Fraction(total), l_max=Fraction(1))
+    deadline = draw(st.one_of(st.none(), st.integers(1, 40).map(lambda periods: Fraction(periods * total))))
+    wl = Workload(execution=draw(st.integers(1, 60)), memory=draw(st.integers(0, 80)), deadline=deadline)
+    return schedule, draw(st.integers(1, m)), cfg, wl
+
+
+@given(schedule_and_workload())
+@settings(max_examples=300, deadline=None)
+def test_trace_is_self_consistent(inst):
+    # Recompute every iterate from its predecessor with the Fraction-valued
+    # split + greedy + breakdown path, independent of how the loop sums.
+    schedule, core, cfg, wl = inst
+    result = analyze_dynamic(wl, schedule, core, cfg)
+    curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
+    for prev, entry in zip(result.trace, result.trace[1:]):
+        splits = split_span(schedule, prev.span)
+        stall = stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves).total
+        assert entry.stall == stall
+        assert entry.span == math.ceil((wl.beta + stall) / schedule.q_total)
 
 
 def test_generous_prefix_budget_never_hurts():

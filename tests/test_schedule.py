@@ -1,9 +1,10 @@
 """Regulation config, workloads, memory schedules, and scenario parsing."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membw import (
@@ -12,6 +13,7 @@ from membw import (
     InvariantError,
     MemorySchedule,
     RegulationConfig,
+    Scenario,
     ScenarioError,
     ScheduleExhaustedError,
     Workload,
@@ -212,6 +214,73 @@ class TestScenarioParsing:
     def test_rejects_invalid_json(self):
         with pytest.raises(ScenarioError):
             parse_scenario("{not json")
+
+
+# Values of every JSON type the parser can meet.
+_LEAVES = st.one_of(
+    st.integers(-2, 20),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.just("unbounded"),
+)
+_VALUES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+_SMALL = st.integers(1, 20)
+
+
+def _mostly(plausible, other):
+    """``plausible`` three times in four, else ``other``, so that documents
+    often get deep into validation."""
+    return st.sampled_from((plausible, plausible, plausible, other)).flatmap(lambda strategy: strategy)
+
+
+def _field(plausible):
+    return _mostly(plausible, _VALUES)
+
+
+def _objects(required: dict, optional: dict | None = None):
+    """Mostly objects with the required keys; else any subset of all keys, or a stray value."""
+    optional = optional or {}
+    anything = st.one_of(st.fixed_dictionaries({}, optional={**required, **optional}), _VALUES)
+    return _mostly(st.fixed_dictionaries(required, optional=optional), anything)
+
+
+_DOCUMENTS = _objects(
+    {
+        "config": _objects(
+            {"P": _field(st.integers(8, 100)), "L_max": _field(st.just(1))},
+            {"Q": _field(st.integers(8, 100)), "L_min": _field(_SMALL), "L_size": _field(_SMALL)},
+        ),
+        "schedule": _field(
+            st.lists(
+                _objects({"budgets": _field(st.lists(_SMALL, min_size=1, max_size=4)),
+                          "length": _field(st.one_of(_SMALL, st.just("unbounded")))}),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+        "workloads": _field(
+            st.lists(
+                _objects({"core": _field(st.integers(0, 5)), "E": _field(_SMALL), "mu": _field(_SMALL)}, {"D": _field(st.integers(1, 500))}),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+    }
+)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=500, deadline=None)
+def test_parse_scenario_fuzz(doc):
+    # Every document is either a scenario or a ScenarioError, never a
+    # traceback from deeper down.
+    try:
+        assert isinstance(parse_scenario(json.dumps(doc)), Scenario)
+    except ScenarioError:
+        pass
 
 
 def test_repo_scenarios_parse(tmp_path):
