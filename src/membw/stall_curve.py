@@ -101,11 +101,13 @@ def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
     return RawStallPoints(core=core, values=tuple(values))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class Segment:
     """One linear piece of a stall curve: value(r) = value + rise * (r - start) / width.
 
     The piece runs from (start, value) to (start + width, value + rise).
+    Fields are keyword-only, so that a positional (start, value, slope,
+    width) call fails instead of reading a slope as a rise.
     """
 
     start: int

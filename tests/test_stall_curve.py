@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from membw import (
     BudgetVector,
     InvariantError,
+    Segment,
     StallCurve,
     build_raw_points,
     concave_envelope,
@@ -162,6 +163,26 @@ def test_curve_serialization_roundtrip_fields():
     assert blob["q"] == 5
     assert blob["start_points"] == [0, 2]
     assert blob["segments"][1] == {"start": 2, "value": 6, "slope": "5/3", "width": 3}
+
+
+def test_segment_stores_integer_rise():
+    seg = curve_for_core(VEC, 3).segments[1]
+    assert (seg.rise, seg.width, seg.slope) == (5, 3, Fraction(5, 3))
+    with pytest.raises(TypeError):
+        Segment(2, 6, Fraction(5, 3), 3)
+
+
+@pytest.mark.parametrize(
+    ("q", "segments", "message"),
+    [
+        (6, ((0, 0, 3, 2), (2, 3, 6, 4)), "concavity"),  # slopes 3/2 and 6/4 are equal
+        (5, ((0, 0, 3, 2), (2, 4, 1, 3)), "continuous"),  # the first piece ends at 3, not 4
+    ],
+)
+def test_curve_rejects_bad_segments(q, segments, message):
+    pieces = tuple(Segment(start=x, value=y, rise=r, width=w) for x, y, r, w in segments)
+    with pytest.raises(InvariantError, match=message):
+        StallCurve(core=1, q=q, segments=pieces)
 
 
 def test_single_core_curve_is_zero():
