@@ -16,7 +16,7 @@ import sys
 from .dynamic_analysis import analyze_dynamic, distribute_memory, stall_breakdown
 from .errors import MembwError
 from .ima import preset_sweep, rows_to_csv, run_sweep
-from .oracles import oracle_distribute
+from .oracles import _check_assignment_space, oracle_distribute
 from .schedule import Scenario, load_scenario, split_span
 from .static_analysis import analyze_static
 from .stall_curve import build_raw_points, curve_for_core
@@ -129,8 +129,11 @@ def _cmd_oracle(args) -> int:
     doc = {"command": "oracle", "core": core, "analysis": result.to_json_dict()}
     if result.converged:
         splits = split_span(scenario.schedule, result.span)
-        curves = tuple(curve_for_core(iv.budgets, core) for iv in scenario.schedule.intervals)
-        raws = tuple(build_raw_points(iv.budgets, core) for iv in scenario.schedule.intervals)
+        intervals = scenario.schedule.intervals
+        # Raw points take O(q) each, so refuse an over-guard enumeration first.
+        _check_assignment_space([w * iv.budgets.budget_of(core) for w, iv in zip(splits, intervals)])
+        curves = tuple(curve_for_core(iv.budgets, core) for iv in intervals)
+        raws = tuple(build_raw_points(iv.budgets, core) for iv in intervals)
         greedy = distribute_memory(splits, workload.memory, curves)
         greedy_value = stall_breakdown(splits, greedy, curves).total
         oracle_value, oracle_assign = oracle_distribute(splits, workload.memory, raws)

@@ -21,6 +21,13 @@ least common multiple of the widths of the curve segments it lands on, and
 the next iterate is an integer ceiling division. A :class:`Fraction` is built
 only at the trace and result boundary: one per iterate, and one per interval
 of the converged breakdown.
+
+While mu exceeds the span's capacity (the distributor reports ``saturated``)
+the iteration climbs about one period per iterate, and S is affine in W until
+the last interval the span reaches ends or its capacity catches up with mu.
+The split + greedy term reports that piece as a stride; the loop walks it by
+integer addition, still with one trace entry per iterate, and calls the split
+and the greedy again only where the piece ends.
 """
 
 from __future__ import annotations
@@ -142,11 +149,26 @@ def analyze_dynamic(
     """
     curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
 
-    def stall_term(span: int) -> tuple[int, int, tuple]:
+    def stall_term(span: int) -> tuple[int, int, tuple, tuple[int, int] | None]:
         splits = split_span(schedule, span)
         assignment = distribute_memory(splits, workload.memory, curves)
         num, den = _total_stall_ratio(splits, assignment, curves)
-        return num, den, (splits, assignment)
+        stride = None
+        if assignment.saturated:
+            # Every interval is at capacity, so S is the sum of (Q - q^i) * W^i,
+            # and growing the span only lengthens j, the last interval it
+            # reaches: S rises by Q - q^j per period until j ends or the
+            # unplaced memory mu - sum(caps) no longer covers q^j more.
+            j = len(splits) - 1
+            while not splits[j]:
+                j -= 1
+            q = curves[j].q
+            last = span + (workload.memory - assignment.total) // q
+            length = schedule.intervals[j].length
+            if length is not None:
+                last = min(last, span + length - splits[j])
+            stride = ((schedule.q_total - q) * den, last)
+        return num, den, (splits, assignment), stride
 
     def finish(span: int, detail: tuple) -> tuple[IntervalBreakdown, ...]:
         splits, assignment = detail
@@ -165,18 +187,30 @@ def _fixed_point(
     workload: Workload,
     q_total: int,
     config: RegulationConfig,
-    stall_term: Callable[[int], tuple[int, int, Any]],
+    stall_term: Callable[[int], tuple[int, int, Any, tuple[int, int] | None]],
     finish: Callable[[int, Any], tuple[IntervalBreakdown, ...] | None],
 ) -> AnalysisResult:
     """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
 
     ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
-    periods as a numerator and a positive denominator, both integers, and
-    whatever detail ``finish`` needs. ``finish(W, detail)`` runs
-    only at the fixed point: it checks the analyzer's convergence invariant
-    and returns the per-interval breakdown (or None). A
-    :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
-    analysis as schedule exhaustion.
+    periods as a numerator and a positive denominator, both integers,
+    whatever detail ``finish`` needs, and a stride: None, or ``(rate, last)``
+    meaning S(W') = (num + rate * (W' - W)) / den for every W' in [W, last].
+    The loop walks a stride in integer arithmetic and calls ``stall_term``
+    again only past ``last``; every iterate still gets its trace entry and
+    its deadline, cap and non-decreasing checks.
+
+    Both stall terms report a stride only while the memory demand saturates
+    the span's capacity: caps = sum of W^j * q^j <= mu. There every interval
+    stalls Q - q^j per period, so S(W') = Q * W' - caps and the next iterate
+    is W' + ceil((E + mu - caps) / Q) >= W' + 1, as E >= 1. No fixed point
+    lies inside a stride; convergence is always found on a fresh
+    ``stall_term`` call.
+
+    ``finish(W, detail)`` runs only at the fixed point: it checks the
+    analyzer's convergence invariant and returns the per-interval breakdown
+    (or None). A :class:`ScheduleExhaustedError` raised by ``stall_term``
+    ends the analysis as schedule exhaustion.
     """
     if q_total != config.transactions_per_period:
         raise InvariantError(
@@ -191,26 +225,36 @@ def _fixed_point(
     # A converging span is at most beta + 1 periods (q >= 1 and Q >= m), so
     # the cap cannot fire on valid input.
     cap = (limit if limit is not None else beta) + 2
+    # The current stride is S = (num + rate * (W - at)) / den for W <= last;
+    # spans start at 1, so last = 0 means no stride.
+    rate = at = last = 0
     for k in range(1, cap + 1):
         if limit is not None and span > limit:
             return AnalysisResult(
                 status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
             )
-        try:
-            num, den, detail = stall_term(span)
-        except ScheduleExhaustedError as exc:
-            return AnalysisResult(
-                status=AnalysisStatus.SCHEDULE_EXHAUSTED,
-                span=span,
-                length_slots=None,
-                trace=tuple(trace),
-                shortfall=exc.shortfall,
-            )
+        if span <= last:
+            num += rate * (span - at)
+        else:
+            try:
+                num, den, detail, stride = stall_term(span)
+            except ScheduleExhaustedError as exc:
+                return AnalysisResult(
+                    status=AnalysisStatus.SCHEDULE_EXHAUSTED,
+                    span=span,
+                    length_slots=None,
+                    trace=tuple(trace),
+                    shortfall=exc.shortfall,
+                )
+            rate, last = stride if stride is not None else (0, 0)
+        at = span
         nxt = -(-(beta * den + num) // (q_total * den))
         if nxt < span:
             raise InvariantError("span iterates must be non-decreasing")
         trace.append(TraceEntry(k=k, span=nxt, stall=Fraction(num, den)))
         if nxt == span:
+            if span <= last:
+                raise InvariantError("a saturated stride cannot hold a fixed point")
             return AnalysisResult(
                 status=AnalysisStatus.CONVERGED,
                 span=span,

@@ -45,6 +45,19 @@ def oracle_max_stall(memory: int, span: int, raw: RawStallPoints) -> int:
     return prev[memory]
 
 
+def _check_assignment_space(caps: list[int]) -> None:
+    """Refuse an enumeration over more than ENUMERATION_GUARD assignments.
+
+    ``caps`` are the per-interval capacities W^j * q^j; callers can check
+    them before building any raw stall points, which take O(q) each.
+    """
+    space = 1
+    for cap in caps:
+        space *= cap + 1
+        if space > ENUMERATION_GUARD:
+            raise OracleTooLargeError(f"oracle_distribute: assignment space exceeds {ENUMERATION_GUARD}")
+
+
 def oracle_distribute(
     splits: tuple[int, ...], memory: int, raws: tuple[RawStallPoints, ...]
 ) -> tuple[Fraction, tuple[int, ...]]:
@@ -57,13 +70,9 @@ def oracle_distribute(
     """
     if len(splits) != len(raws):
         raise InvariantError(f"oracle_distribute: {len(splits)} splits but {len(raws)} curves")
-    curves = [concave_envelope(raw) for raw in raws]
     caps = [w * raw.q for w, raw in zip(splits, raws)]
-    space = 1
-    for cap in caps:
-        space *= cap + 1
-        if space > ENUMERATION_GUARD:
-            raise OracleTooLargeError(f"oracle_distribute: assignment space exceeds {ENUMERATION_GUARD}")
+    _check_assignment_space(caps)
+    curves = [concave_envelope(raw) for raw in raws]
 
     tables = []
     for j, cap in enumerate(caps):

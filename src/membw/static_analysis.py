@@ -12,7 +12,9 @@ iteration
 with beta = E + mu, evaluated exactly (integer numerators over the curve
 segment's width; see :meth:`membw.stall_curve.StallCurve.stall_ratio`). The
 sequence is non-decreasing and integer, so it either converges or crosses the
-deadline.
+deadline. While mu >= W * q the rate is pinned at q, where I(q) = Q - q, so
+S(W) = (Q - q) * W up to W = mu // q; the term hands that stretch to the loop
+as a stride, which walks it without evaluating the curve.
 
 Both analyzers share one iteration loop (in :mod:`membw.dynamic_analysis`);
 this module supplies only its own single-curve stall term, which the tests
@@ -40,9 +42,13 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
     q = curve.q
     memory = workload.memory
 
-    def stall_term(span: int) -> tuple[int, int, None]:
+    def stall_term(span: int) -> tuple[int, int, None, tuple[int, int] | None]:
         num, den = curve.stall_ratio(span, min(memory, span * q))
-        return num, den, None
+        if memory < span * q:
+            return num, den, None, None
+        # Saturated: the rate sits at q, where the curve reads Q - q, so
+        # S(W') = (Q - q) * W' on the last segment for every W' <= mu // q.
+        return num, den, None, ((budgets.total - q) * den, memory // q)
 
     def finish(span: int, _detail: None) -> None:
         if memory >= span * q:

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, and diagnostics."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from membw import cli
 from membw.cli import main
 
 STATIC = "scenarios/static_worked_example.json"
@@ -117,6 +122,24 @@ class TestOracle:
         assert doc["greedy_objective"] == doc["oracle_objective"] == "61"
 
 
+def test_oracle_refuses_over_guard_before_building_raw_points(capsys, tmp_path, monkeypatch):
+    # Core 2's budget would need 10^8 raw stall points; analyze-dynamic
+    # answers the same file at once from the hull vertices alone.
+    doc = {
+        "config": {"P": 100000000, "L_max": 1},
+        "schedule": [{"budgets": [1, 99999999], "length": "unbounded"}],
+        "workloads": [{"core": 2, "E": 1, "mu": 1}],
+    }
+
+    def refuse(*args):
+        pytest.fail("raw stall points built for an over-guard oracle call")
+
+    monkeypatch.setattr(cli, "build_raw_points", refuse)
+    code, _, err = run(capsys, "oracle", "--scenario", _write(tmp_path, json.dumps(doc).encode()))
+    assert code == 2
+    assert "assignment space exceeds" in err
+
+
 class TestExperiment:
     def test_smoke_writes_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBW_THREADS", "1")
@@ -209,3 +232,68 @@ def test_config_latency_keys(capsys, tmp_path, extra, expected_code):
         assert json.loads(out)["span_periods"] == 10
     else:
         assert "config.L_size must be an integer" in err
+
+
+@pytest.fixture(scope="module")
+def scenario_paths(tmp_path_factory):
+    """A valid, missing, directory and malformed --scenario value each."""
+    d = tmp_path_factory.mktemp("argv")
+    two_cores = {
+        "config": {"P": 16, "L_max": 1},
+        "schedule": [{"budgets": [2, 2, 5, 7], "length": 4}, {"budgets": [4, 4, 4, 4], "length": 3}],
+        "workloads": [{"core": 1, "E": 9, "mu": 20, "D": 80}, {"core": 3, "E": 40, "mu": 35}],
+    }
+    (d / "two_cores.json").write_text(json.dumps(two_cores))
+    (d / "malformed.json").write_text('{"config": {"P": 16, "L_max": 1}, "schedule": [')
+    return [STATIC, DYNAMIC, str(d / "two_cores.json"), str(d / "missing.json"), str(d), str(d / "malformed.json")]
+
+
+HUGE = "1" + "0" * 25
+INTS = st.sampled_from(["-" + HUGE, "-1", "0", "1", "2", "3", "4", "5", HUGE, "x"])
+
+
+OWN_FLAGS = {
+    "analyze-static": ("--trace",),
+    "analyze-dynamic": ("--trace", "--breakdown"),
+    "dump-curve": ("--interval",),
+    "oracle": (),
+}
+
+
+@st.composite
+def cli_argv(draw, paths):
+    if draw(st.integers(0, 9)) == 0:
+        argv = ["experiment", "--preset", "smoke", "--seed", draw(st.sampled_from(["-1", "0", "7", HUGE]))]
+        out = draw(st.sampled_from([None, paths[-2], paths[-2] + "/smoke.csv"]))
+        if out is not None:
+            argv += ["--out", out]
+        return argv + draw(st.lists(st.just("--plot"), max_size=1))
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv += ["--scenario", draw(st.sampled_from(paths))]
+    if draw(st.booleans()):
+        argv += ["--core", draw(INTS)]
+    # Mostly the command's own flags; now and then flags it does not take.
+    for flag in OWN_FLAGS[command] if draw(st.integers(0, 4)) else ("--interval", "--trace", "--breakdown"):
+        if draw(st.booleans()):
+            argv += [flag, draw(INTS)] if flag == "--interval" else [flag]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_argv_exits_0_or_2(scenario_paths, data):
+    # Whatever the arguments, the CLI answers, reports a diagnostic with exit
+    # code 2, or lets argparse reject the command line: never a traceback.
+    argv = data.draw(cli_argv(scenario_paths))
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(pytest.MonkeyPatch.context()).setenv("MEMBW_THREADS", "1")
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 2), argv

@@ -25,6 +25,7 @@ from membw import (
     split_span,
     stall_breakdown,
 )
+from membw import dynamic_analysis
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
 VECTORS = (BudgetVector((2, 2, 5, 7)), BudgetVector((2, 3, 7, 4)), BudgetVector((4, 4, 4, 4)))
@@ -201,6 +202,61 @@ def test_saturated_climb_is_pinned():
     assert all(type(b.stall) is Fraction for b in dyn.breakdown)
     curve = curve_for_core(SATURATED_BUDGETS, 1)
     assert all(type(curve.stall_over(w, mu)) is Fraction for w, mu in ((0, 0), (8001, 8000), (3, 3)))
+
+
+CLIMB_CFG = RegulationConfig(period=Fraction(1000), l_max=Fraction(1))
+LEAN, RICH = BudgetVector((1, 999)), BudgetVector((2, 998))
+
+
+@pytest.mark.parametrize(
+    ("tail", "workload", "status", "span", "shortfall", "fresh_calls"),
+    [
+        # Strides over [1, 40], [41, 80] and [81, 110]; converges just past them.
+        (None, Workload(execution=1, memory=150), AnalysisStatus.CONVERGED, 111, None, 4),
+        # Misses the 60-period deadline inside the second stride.
+        (
+            None,
+            Workload(execution=1, memory=150, deadline=Fraction(60 * 1000)),
+            AnalysisStatus.DEADLINE_MISS,
+            61,
+            None,
+            2,
+        ),
+        # Saturated to the end of a 120-period schedule.
+        (40, Workload(execution=1, memory=500), AnalysisStatus.SCHEDULE_EXHAUSTED, 121, 1, 3),
+    ],
+    ids=["converged", "deadline-miss", "schedule-exhausted"],
+)
+def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, span, shortfall, fresh_calls):
+    # Core 1 holds one transaction per period, then two, then one: each
+    # iterate grows the span by one period, so the saturated climb crosses
+    # both interval boundaries and its stall slope changes at each.
+    schedule = MemorySchedule(
+        intervals=(
+            BudgetInterval(budgets=LEAN, length=40),
+            BudgetInterval(budgets=RICH, length=40),
+            BudgetInterval(budgets=LEAN, length=tail),
+        )
+    )
+    calls = []
+
+    def counting_distribute(*args):
+        calls.append(args)
+        return distribute_memory(*args)
+
+    monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
+    result = analyze_dynamic(workload, schedule, 1, CLIMB_CFG)
+    assert (result.status, result.span, result.shortfall) == (status, span, shortfall)
+    # The climb is walked in strides: one greedy run per stride, plus one per
+    # iterate past the saturated part.
+    assert len(calls) == fresh_calls
+    curves = tuple(curve_for_core(iv.budgets, 1) for iv in schedule.intervals)
+    assert [t.span for t in result.trace] == list(range(1, span + 1)) + ([span] if result.converged else [])
+    for prev, entry in zip(result.trace, result.trace[1:]):
+        splits = split_span(schedule, prev.span)
+        stall = stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves).total
+        assert entry.stall == stall
+        assert entry.span == math.ceil((workload.beta + stall) / schedule.q_total)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Fixed-point analysis of a workload under one constant budget vector."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from membw import (
     BudgetVector,
     InvariantError,
     RegulationConfig,
+    StallCurve,
     Workload,
     analyze_static,
     build_raw_points,
@@ -114,6 +116,37 @@ class TestProperties:
         memory = min(wl.memory, result.span * raw.q)
         curve = curve_for_core(budgets, core)
         assert curve.stall_over(result.span, memory) >= oracle_max_stall(memory, result.span, raw)
+
+
+@given(small_instances())
+@settings(max_examples=300, deadline=None)
+def test_trace_is_self_consistent(inst):
+    # Recompute every iterate from its predecessor with the Fraction-valued
+    # curve evaluation, independent of how the loop walks saturated strides.
+    budgets, core, wl = inst
+    result = analyze_static(wl, budgets, core, config_for(budgets))
+    curve = curve_for_core(budgets, core)
+    for prev, entry in zip(result.trace, result.trace[1:]):
+        stall = curve.stall_over(prev.span, min(wl.memory, prev.span * curve.q))
+        assert entry.stall == stall
+        assert entry.span == math.ceil((wl.beta + stall) / budgets.total)
+
+
+def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
+    # mu >= W * q up to W = 8000: one curve evaluation covers that climb,
+    # and one more finds the fixed point at 8001.
+    calls = []
+    stall_ratio = StallCurve.stall_ratio
+
+    def counting_stall_ratio(curve, span, memory):
+        calls.append(span)
+        return stall_ratio(curve, span, memory)
+
+    monkeypatch.setattr(StallCurve, "stall_ratio", counting_stall_ratio)
+    budgets = BudgetVector((1, 20000, 21665))
+    result = analyze_static(Workload(execution=50, memory=8000), budgets, 1, config_for(budgets))
+    assert (result.span, len(result.trace)) == (8001, 8002)
+    assert calls == [1, 8001]
 
 
 def test_seeded_regression_batch():
