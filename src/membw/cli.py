@@ -16,7 +16,7 @@ import sys
 from .dynamic_analysis import analyze_dynamic, distribute_memory, stall_breakdown
 from .errors import MembwError
 from .ima import preset_sweep, rows_to_csv, run_sweep
-from .oracles import _check_assignment_space, oracle_distribute
+from .oracles import ENUMERATION_GUARD, _check_assignment_space, oracle_distribute
 from .schedule import Scenario, load_scenario, split_span
 from .static_analysis import analyze_static
 from .stall_curve import build_raw_points, curve_for_core
@@ -108,6 +108,11 @@ def _cmd_dump_curve(args) -> int:
     if not 1 <= args.interval <= len(intervals):
         raise MembwError(f"--interval {args.interval} outside [1..{len(intervals)}]")
     budgets = intervals[args.interval - 1].budgets
+    # The raw points take O(q) time, memory and output, so refuse as many
+    # as the oracle would refuse to enumerate.
+    points = budgets.budget_of(core) + 1
+    if points > ENUMERATION_GUARD:
+        raise MembwError(f"dump-curve: core {core} has {points} raw stall points, more than {ENUMERATION_GUARD}")
     raw = build_raw_points(budgets, core)
     curve = curve_for_core(budgets, core)
     doc = {

@@ -18,15 +18,15 @@ in: the split + greedy S above here, the single-curve term in
 
 Answers are exact. Inside the loop a stall is an integer numerator over the
 least common multiple of the widths of the curve segments it lands on, and
-the next iterate is an integer ceiling division. A :class:`Fraction` is built
-only at the trace and result boundary: one per iterate, and one per interval
-of the converged breakdown.
+the next iterate is an integer ceiling division. The result records each
+iterate as integers; a :class:`Fraction` is built only when the result's
+trace (one per iterate) or breakdown (one per interval) is read.
 
 While mu exceeds the span's capacity (the distributor reports ``saturated``)
 the iteration climbs about one period per iterate, and S is affine in W until
 the last interval the span reaches ends or its capacity catches up with mu.
 The split + greedy term reports that piece as a stride; the loop walks it by
-integer addition, still with one trace entry per iterate, and calls the split
+integer addition, still recording every iterate, and calls the split
 and the greedy again only where the piece ends.
 """
 
@@ -39,7 +39,7 @@ from math import gcd
 from typing import Any
 
 from .errors import InvariantError, ScheduleExhaustedError
-from .results import AnalysisResult, AnalysisStatus, IntervalBreakdown, TraceEntry
+from .results import AnalysisResult, AnalysisStatus, _from_raw
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
 from .stall_curve import StallCurve, curve_for_core
 
@@ -170,15 +170,11 @@ def analyze_dynamic(
             stride = ((schedule.q_total - q) * den, last)
         return num, den, (splits, assignment), stride
 
-    def finish(span: int, detail: tuple) -> tuple[IntervalBreakdown, ...]:
+    def finish(span: int, detail: tuple) -> tuple:
         splits, assignment = detail
         if assignment.saturated:
             raise InvariantError("fixed point must place all memory (saturation contradicts it)")
-        stalls = stall_breakdown(splits, assignment, curves)
-        return tuple(
-            IntervalBreakdown(interval=j + 1, span=splits[j], memory=assignment.per_interval[j], stall=stalls.per_interval[j])
-            for j in range(len(splits))
-        )
+        return splits, assignment, curves
 
     return _fixed_point(workload, schedule.q_total, config, stall_term, finish)
 
@@ -188,7 +184,7 @@ def _fixed_point(
     q_total: int,
     config: RegulationConfig,
     stall_term: Callable[[int], tuple[int, int, Any, tuple[int, int] | None]],
-    finish: Callable[[int, Any], tuple[IntervalBreakdown, ...] | None],
+    finish: Callable[[int, Any], Any],
 ) -> AnalysisResult:
     """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
 
@@ -197,8 +193,9 @@ def _fixed_point(
     whatever detail ``finish`` needs, and a stride: None, or ``(rate, last)``
     meaning S(W') = (num + rate * (W' - W)) / den for every W' in [W, last].
     The loop walks a stride in integer arithmetic and calls ``stall_term``
-    again only past ``last``; every iterate still gets its trace entry and
-    its deadline, cap and non-decreasing checks.
+    again only past ``last``; every iterate still gets its deadline, cap and
+    non-decreasing checks, and is recorded as the integers (span, num, den).
+    The result builds its trace from that record when the trace is read.
 
     Both stall terms report a stride only while the memory demand saturates
     the span's capacity: caps = sum of W^j * q^j <= mu. There every interval
@@ -207,9 +204,11 @@ def _fixed_point(
     lies inside a stride; convergence is always found on a fresh
     ``stall_term`` call.
 
-    ``finish(W, detail)`` runs only at the fixed point: it checks the
-    analyzer's convergence invariant and returns the per-interval breakdown
-    (or None). A :class:`ScheduleExhaustedError` raised by ``stall_term``
+    ``finish(W, detail)`` runs only at the fixed point. It checks the
+    analyzer's convergence invariant (raising :class:`InvariantError`) and
+    returns the data the result builds its breakdown from when the
+    breakdown is read: ``(splits, assignment, curves)``, or None for no
+    breakdown. A :class:`ScheduleExhaustedError` raised by ``stall_term``
     ends the analysis as schedule exhaustion.
     """
     if q_total != config.transactions_per_period:
@@ -221,46 +220,32 @@ def _fixed_point(
     limit = deadline_periods(workload, config) if workload.deadline is not None else None
 
     span = -(-beta // q_total)
-    trace = [TraceEntry(k=0, span=span, stall=Fraction(0))]
+    raw = [(span, 0, 1)]
     # A converging span is at most beta + 1 periods (q >= 1 and Q >= m), so
     # the cap cannot fire on valid input.
     cap = (limit if limit is not None else beta) + 2
     # The current stride is S = (num + rate * (W - at)) / den for W <= last;
     # spans start at 1, so last = 0 means no stride.
     rate = at = last = 0
-    for k in range(1, cap + 1):
+    for _ in range(cap):
         if limit is not None and span > limit:
-            return AnalysisResult(
-                status=AnalysisStatus.DEADLINE_MISS, span=span, length_slots=None, trace=tuple(trace)
-            )
+            return _from_raw(AnalysisStatus.DEADLINE_MISS, span, None, raw)
         if span <= last:
             num += rate * (span - at)
         else:
             try:
                 num, den, detail, stride = stall_term(span)
             except ScheduleExhaustedError as exc:
-                return AnalysisResult(
-                    status=AnalysisStatus.SCHEDULE_EXHAUSTED,
-                    span=span,
-                    length_slots=None,
-                    trace=tuple(trace),
-                    shortfall=exc.shortfall,
-                )
+                return _from_raw(AnalysisStatus.SCHEDULE_EXHAUSTED, span, None, raw, None, exc.shortfall)
             rate, last = stride if stride is not None else (0, 0)
         at = span
         nxt = -(-(beta * den + num) // (q_total * den))
         if nxt < span:
             raise InvariantError("span iterates must be non-decreasing")
-        trace.append(TraceEntry(k=k, span=nxt, stall=Fraction(num, den)))
+        raw.append((nxt, num, den))
         if nxt == span:
             if span <= last:
                 raise InvariantError("a saturated stride cannot hold a fixed point")
-            return AnalysisResult(
-                status=AnalysisStatus.CONVERGED,
-                span=span,
-                length_slots=span * q_total,
-                trace=tuple(trace),
-                breakdown=finish(span, detail),
-            )
+            return _from_raw(AnalysisStatus.CONVERGED, span, span * q_total, raw, finish(span, detail))
         span = nxt
     raise InvariantError("fixed-point iteration exceeded its defensive cap")

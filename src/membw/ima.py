@@ -45,6 +45,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from hashlib import blake2b
 
 from .dynamic_analysis import analyze_dynamic
@@ -111,8 +112,9 @@ class ExperimentConfig:
     def hyperperiod_periods(self) -> int:
         return int(self.hyperperiod / self.period)
 
-    @property
+    @cached_property
     def regulation(self) -> RegulationConfig:
+        """The regulation config of this sweep point, built on first read."""
         return RegulationConfig(period=self.period, l_max=self.period / self.q_total, q_total=self.q_total)
 
     @property

@@ -15,7 +15,7 @@ Scenario files (JSON) bundle a regulation config, a schedule, and workloads;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError, ScenarioError, ScheduleExhaustedError
@@ -37,6 +37,8 @@ class RegulationConfig:
     period: Fraction
     l_max: Fraction
     q_total: int | None = None
+    _q: int = field(init=False, repr=False, compare=False)
+    _period_duration: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -45,15 +47,16 @@ class RegulationConfig:
             raise InvariantError("regulation config: l_max must be > 0")
         if self.q_total is not None and self.q_total < 1:
             raise InvariantError("regulation config: q_total override must be >= 1")
-        if self.transactions_per_period < 1:
+        q = self.q_total if self.q_total is not None else int(self.period / self.l_max)
+        if q < 1:
             raise InvariantError("regulation config: period must cover at least one transaction")
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_period_duration", q * self.slot)
 
     @property
     def transactions_per_period(self) -> int:
         """Total transactions servable per period (the scalar Q)."""
-        if self.q_total is not None:
-            return self.q_total
-        return int(self.period / self.l_max)
+        return self._q
 
     @property
     def slot(self) -> Fraction:
@@ -134,17 +137,6 @@ class MemorySchedule:
     def q_total(self) -> int:
         return self.intervals[0].budgets.total
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.intervals[-1].length is not None
-
-    @property
-    def total_length(self) -> int | None:
-        """Total periods covered, or None when the last interval is unbounded."""
-        if not self.is_bounded:
-            return None
-        return sum(iv.length for iv in self.intervals)  # type: ignore[misc]
-
 
 def split_span(schedule: MemorySchedule, span: int) -> tuple[int, ...]:
     """Prefix-greedy split of a span over the schedule's intervals.
@@ -167,11 +159,16 @@ def split_span(schedule: MemorySchedule, span: int) -> tuple[int, ...]:
 
 
 def deadline_periods(workload: Workload, config: RegulationConfig) -> int:
-    """Greatest span (in periods) whose duration still meets the deadline."""
-    if workload.deadline is None:
+    """Greatest span (in periods) whose duration still meets the deadline.
+
+    That is floor(D / (Q * slot)), taken on the integer numerators and
+    denominators of the two positive rationals.
+    """
+    deadline = workload.deadline
+    if deadline is None:
         raise InvariantError("deadline_periods: workload has no deadline")
-    period_duration = config.transactions_per_period * config.slot
-    return int(workload.deadline / period_duration)
+    duration = config._period_duration
+    return (deadline.numerator * duration.denominator) // (deadline.denominator * duration.numerator)
 
 
 @dataclass(frozen=True, slots=True)

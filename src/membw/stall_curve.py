@@ -159,10 +159,6 @@ class StallCurve:
             raise InvariantError(f"stall curve: segments cover [0, {pos}] but domain is [0, {self.q}]")
         object.__setattr__(self, "_starts", tuple(s.start for s in segs))
 
-    @property
-    def start_points(self) -> tuple[int, ...]:
-        return self._starts
-
     def _check_domain(self, r: Rational) -> None:
         if r < 0 or r > self.q:
             raise InvariantError(f"rate {r} outside curve domain [0, {self.q}]")
@@ -173,14 +169,12 @@ class StallCurve:
         seg = self.segments[bisect_right(self._starts, r) - 1]
         return Fraction(seg.value) + seg.slope * (r - seg.start)
 
-    __call__ = value_at
-
     def stall_over(self, span: int, memory: int) -> Fraction:
         """Exact span-cumulative stall: value_at(memory / span) * span.
 
         Requires 0 <= memory <= span * q. The analyzers' loop uses the
-        integer :meth:`stall_ratio` instead and builds a :class:`Fraction`
-        only for the trace and the result; the value is the same.
+        integer :meth:`stall_ratio` instead; a result builds a
+        :class:`Fraction` only when its trace or breakdown is read.
         """
         return Fraction(*self.stall_ratio(span, memory))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from membw import cli
 from membw.cli import main
+from membw.oracles import ENUMERATION_GUARD
 
 STATIC = "scenarios/static_worked_example.json"
 DYNAMIC = "scenarios/dynamic_worked_example.json"
@@ -138,6 +139,25 @@ def test_oracle_refuses_over_guard_before_building_raw_points(capsys, tmp_path, 
     code, _, err = run(capsys, "oracle", "--scenario", _write(tmp_path, json.dumps(doc).encode()))
     assert code == 2
     assert "assignment space exceeds" in err
+
+
+def test_dump_curve_refuses_over_guard_before_building_raw_points(capsys, tmp_path, monkeypatch):
+    # Core 2 would have ENUMERATION_GUARD + 1 raw stall points to build and print.
+    q = ENUMERATION_GUARD
+    doc = {
+        "config": {"P": q + 1, "L_max": 1},
+        "schedule": [{"budgets": [1, q], "length": "unbounded"}],
+        "workloads": [{"core": 2, "E": 1, "mu": 1}],
+    }
+
+    def refuse(*args):
+        pytest.fail("raw stall points built for an over-guard dump-curve call")
+
+    monkeypatch.setattr(cli, "build_raw_points", refuse)
+    code, out, err = run(capsys, "dump-curve", "--scenario", _write(tmp_path, json.dumps(doc).encode()))
+    assert code == 2
+    assert out == ""
+    assert f"{q + 1} raw stall points" in err
 
 
 class TestExperiment:

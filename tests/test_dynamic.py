@@ -1,7 +1,9 @@
 """Greedy memory distribution over intervals and the dynamic fixed point."""
 
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membw import (
+    AnalysisResult,
     AnalysisStatus,
     BudgetInterval,
     BudgetVector,
@@ -173,6 +176,48 @@ class TestAnalyzeDynamic:
         sta = analyze_static(wl, VECTORS[0], 3, CFG16)
         assert dyn.span == sta.span == 10
         assert dyn.trace == sta.trace
+
+
+EXHAUSTING = MemorySchedule(
+    intervals=(BudgetInterval(budgets=VECTORS[0], length=5), BudgetInterval(budgets=VECTORS[1], length=1))
+)
+
+
+@pytest.mark.parametrize(
+    ("schedule", "workload", "status"),
+    [
+        (THREE_INTERVALS, Workload(execution=15, memory=25), AnalysisStatus.CONVERGED),
+        (THREE_INTERVALS, Workload(execution=15, memory=25, deadline=Fraction(96)), AnalysisStatus.DEADLINE_MISS),
+        (EXHAUSTING, Workload(execution=15, memory=25), AnalysisStatus.SCHEDULE_EXHAUSTED),
+    ],
+)
+def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, status):
+    # Pickled before its trace or breakdown is read, then compared with the
+    # original read afterwards.
+    result = analyze_dynamic(workload, schedule, 3, CFG16)
+    copy = pickle.loads(pickle.dumps(result))
+    assert result.status is copy.status is status
+    assert (result.breakdown is not None) == result.converged
+    assert copy.trace == result.trace
+    assert copy.breakdown == result.breakdown
+    assert copy.to_json_dict() == result.to_json_dict()
+    assert copy == result
+    # The public constructor takes the built trace and breakdown.
+    rebuilt = AnalysisResult(
+        result.status, result.span, result.length_slots, result.trace, result.breakdown, result.shortfall
+    )
+    assert rebuilt == result
+    assert repr(rebuilt) == repr(result)
+    assert rebuilt.to_json_dict() == result.to_json_dict()
+    assert rebuilt.total_stall == result.total_stall
+    with pytest.raises(FrozenInstanceError):
+        result.span = 0
+
+
+def test_trace_and_breakdown_are_built_once():
+    result = analyze_dynamic(Workload(execution=15, memory=25), THREE_INTERVALS, 3, CFG16)
+    assert result.trace is result.trace
+    assert result.breakdown is result.breakdown
 
 
 # Core 1 holds one transaction per period, so the fixed point climbs by one

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from membw import AnalysisStatus, BudgetInterval, BudgetVector, MemorySchedule, analyze_dynamic
+from membw import (
+    AnalysisStatus,
+    BudgetInterval,
+    BudgetVector,
+    IntervalBreakdown,
+    MemorySchedule,
+    TraceEntry,
+    Workload,
+    analyze_dynamic,
+    deadline_periods,
+)
 from membw.errors import InvariantError
 from membw.ima import (
     POLICIES,
@@ -246,6 +256,36 @@ class TestEvaluation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(InvariantError):
             evaluate_schedulability(_set(), "XX", CFG)
+
+    def test_policies_build_no_trace_or_breakdown(self, monkeypatch):
+        # The policies read only status and span, so no analysis they run
+        # may construct a trace entry or breakdown row.
+        built = []
+        for cls in (TraceEntry, IntervalBreakdown):
+            monkeypatch.setattr(cls, "__init__", _counting(cls.__init__, built))
+        cfg = ExperimentConfig(m=8, mir=Fraction(1, 4), u=Fraction(1, 2))
+        pset = generate_partition_set(cfg, random.Random(3))
+        for policy in POLICIES:
+            evaluate_schedulability(pset, policy, cfg)
+        assert built == []
+        # The counter sees what a reader of the results builds.
+        part = pset.by_core(1)[0]
+        result = analyze_dynamic(part.workload(cfg.hyperperiod), MemorySchedule.static(policy_se(cfg)), 1, cfg.regulation)
+        assert len(result.trace) + len(result.breakdown) == len(built) > 0
+
+    def test_deadline_is_the_periods_left_in_the_hyperperiod(self):
+        horizon = CFG.hyperperiod_periods
+        for start in range(horizon):
+            workload = Workload(execution=1, memory=0, deadline=(horizon - start) * CFG.period)
+            assert deadline_periods(workload, CFG.regulation) == horizon - start
+
+
+def _counting(init, built: list):
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    return counted
 
 
 class TestSweep:

@@ -71,13 +71,6 @@ class TestMemorySchedule:
         sched = MemorySchedule.static(VEC)
         assert len(sched.intervals) == 1
         assert sched.intervals[0].length is None
-        assert not sched.is_bounded
-
-    def test_total_length(self):
-        assert THREE_INTERVALS.total_length is None
-        bounded = MemorySchedule(intervals=(BudgetInterval(budgets=VEC, length=5),))
-        assert bounded.total_length == 5
-        assert bounded.is_bounded
 
     def test_rejects_mismatched_core_counts(self):
         with pytest.raises(InvariantError):
@@ -144,6 +137,22 @@ def test_deadline_periods_floors():
     cfg = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
     wl = Workload(execution=4, memory=4, deadline=Fraction(100))
     assert deadline_periods(wl, cfg) == 6
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 10**9), max_value=10**6, max_denominator=10**9)
+
+
+@pytest.mark.parametrize("override", [False, True])
+@given(
+    l_max=POSITIVE,
+    ratio=st.fractions(min_value=1, max_value=10**5, max_denominator=10**6),
+    q=st.integers(1, 10**6),
+    deadline=POSITIVE,
+)
+def test_deadline_periods_matches_fraction_division(override, l_max, ratio, q, deadline):
+    cfg = RegulationConfig(period=l_max * ratio, l_max=l_max, q_total=q if override else None)
+    wl = Workload(execution=1, memory=0, deadline=deadline)
+    assert deadline_periods(wl, cfg) == int(deadline / (cfg.transactions_per_period * cfg.slot))
 
 
 def test_deadline_periods_requires_deadline():

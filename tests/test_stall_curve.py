@@ -93,7 +93,7 @@ class TestEnvelope:
         curve = curve_for_core(VEC, 3)
         assert curve.value_at(Fraction(7, 2)) == Fraction(17, 2)
         assert curve.value_at(5) == 11
-        assert curve(0) == 0
+        assert curve.value_at(0) == 0
 
     def test_rejects_out_of_domain(self):
         curve = curve_for_core(VEC, 3)
