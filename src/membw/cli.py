@@ -176,6 +176,8 @@ def _plot_script(rows, csv_path: str) -> str:
 
 
 def _cmd_experiment(args) -> int:
+    if args.plot and not args.out:
+        raise MembwError("--plot requires --out (the script references the CSV file)")
     sweep = preset_sweep(args.preset, args.seed)
     rows = run_sweep(sweep)
     csv_text = rows_to_csv(rows, args.seed)
@@ -186,8 +188,6 @@ def _cmd_experiment(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.plot:
-        if not args.out:
-            raise MembwError("--plot requires --out (the script references the CSV file)")
         plot_path = os.path.splitext(args.out)[0] + ".plt"
         with open(plot_path, "w", encoding="utf-8") as fh:
             fh.write(_plot_script(rows, args.out))

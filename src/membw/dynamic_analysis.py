@@ -36,10 +36,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any
 
 from .errors import InvariantError, ScheduleExhaustedError
-from .results import AnalysisResult, AnalysisStatus, _from_raw
+from .results import AnalysisResult, AnalysisStatus
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
 from .stall_curve import StallCurve, curve_for_core
 
@@ -168,48 +167,40 @@ def analyze_dynamic(
             if length is not None:
                 last = min(last, span + length - splits[j])
             stride = ((schedule.q_total - q) * den, last)
-        return num, den, (splits, assignment), stride
+        return num, den, (splits, assignment, curves), stride
 
-    def finish(span: int, detail: tuple) -> tuple:
-        splits, assignment = detail
-        if assignment.saturated:
-            raise InvariantError("fixed point must place all memory (saturation contradicts it)")
-        return splits, assignment, curves
-
-    return _fixed_point(workload, schedule.q_total, config, stall_term, finish)
+    return _fixed_point(workload, schedule.q_total, config, stall_term)
 
 
 def _fixed_point(
     workload: Workload,
     q_total: int,
     config: RegulationConfig,
-    stall_term: Callable[[int], tuple[int, int, Any, tuple[int, int] | None]],
-    finish: Callable[[int, Any], Any],
+    stall_term: Callable[[int], tuple[int, int, tuple | None, tuple[int, int] | None]],
 ) -> AnalysisResult:
     """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
 
     ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
-    periods as a numerator and a positive denominator, both integers,
-    whatever detail ``finish`` needs, and a stride: None, or ``(rate, last)``
-    meaning S(W') = (num + rate * (W' - W)) / den for every W' in [W, last].
-    The loop walks a stride in integer arithmetic and calls ``stall_term``
-    again only past ``last``; every iterate still gets its deadline, cap and
-    non-decreasing checks, and is recorded as the integers (span, num, den).
-    The result builds its trace from that record when the trace is read.
+    periods as a numerator and a positive denominator, both integers, the
+    data the result builds its breakdown from (``(splits, assignment,
+    curves)``, or None for no breakdown), and a stride: None, or
+    ``(rate, last)`` meaning S(W') = (num + rate * (W' - W)) / den for every
+    W' in [W, last], with last >= W. The loop walks a stride in integer
+    arithmetic and calls ``stall_term`` again only past ``last``; every
+    iterate still gets its deadline, cap and non-decreasing checks, and is
+    recorded as the integers (span, num, den). The result keeps the detail
+    of the fixed point's ``stall_term`` call and builds its trace and
+    breakdown from the record and that detail when they are read.
 
-    Both stall terms report a stride only while the memory demand saturates
-    the span's capacity: caps = sum of W^j * q^j <= mu. There every interval
-    stalls Q - q^j per period, so S(W') = Q * W' - caps and the next iterate
-    is W' + ceil((E + mu - caps) / Q) >= W' + 1, as E >= 1. No fixed point
-    lies inside a stride; convergence is always found on a fresh
-    ``stall_term`` call.
-
-    ``finish(W, detail)`` runs only at the fixed point. It checks the
-    analyzer's convergence invariant (raising :class:`InvariantError`) and
-    returns the data the result builds its breakdown from when the
-    breakdown is read: ``(splits, assignment, curves)``, or None for no
-    breakdown. A :class:`ScheduleExhaustedError` raised by ``stall_term``
-    ends the analysis as schedule exhaustion.
+    The loop's one convergence guard rests on this contract: a term reports
+    a stride exactly when it is saturated, that is when the memory demand
+    fills the span's capacity: caps = sum of W^j * q^j <= mu. There every
+    interval stalls Q - q^j per period, so S(W') = Q * W' - caps and the
+    next iterate is W' + ceil((E + mu - caps) / Q) >= W' + 1, as E >= 1. So
+    no fixed point is saturated or lies inside a stride, and a fixed point
+    at W <= last raises :class:`InvariantError`. A
+    :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
+    analysis as schedule exhaustion.
     """
     if q_total != config.transactions_per_period:
         raise InvariantError(
@@ -229,14 +220,15 @@ def _fixed_point(
     rate = at = last = 0
     for _ in range(cap):
         if limit is not None and span > limit:
-            return _from_raw(AnalysisStatus.DEADLINE_MISS, span, None, raw)
+            return AnalysisResult(AnalysisStatus.DEADLINE_MISS, span, None, tuple(raw))
         if span <= last:
             num += rate * (span - at)
         else:
             try:
                 num, den, detail, stride = stall_term(span)
             except ScheduleExhaustedError as exc:
-                return _from_raw(AnalysisStatus.SCHEDULE_EXHAUSTED, span, None, raw, None, exc.shortfall)
+                status = AnalysisStatus.SCHEDULE_EXHAUSTED
+                return AnalysisResult(status, span, None, tuple(raw), shortfall=exc.shortfall)
             rate, last = stride if stride is not None else (0, 0)
         at = span
         nxt = -(-(beta * den + num) // (q_total * den))
@@ -246,6 +238,6 @@ def _fixed_point(
         if nxt == span:
             if span <= last:
                 raise InvariantError("a saturated stride cannot hold a fixed point")
-            return _from_raw(AnalysisStatus.CONVERGED, span, span * q_total, raw, finish(span, detail))
+            return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)
         span = nxt
     raise InvariantError("fixed-point iteration exceeded its defensive cap")

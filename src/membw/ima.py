@@ -108,7 +108,7 @@ class ExperimentConfig:
         if (self.hyperperiod / self.period).denominator != 1:
             raise InvariantError("experiment config: hyperperiod must be a whole number of periods")
 
-    @property
+    @cached_property
     def hyperperiod_periods(self) -> int:
         return int(self.hyperperiod / self.period)
 
@@ -276,7 +276,6 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     returned schedule is not merged: one interval per event plus the
     unbounded tail.
     """
-    reg = config.regulation
     horizon = config.hyperperiod_periods
     queues = {core: list(pset.by_core(core)) for core in range(1, config.m + 1)}
     active: dict[int, tuple[Partition, int]] = {}
@@ -297,7 +296,7 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     while active:
         for core, (part, start) in active.items():
             if core not in events:
-                span = _hypothesize_span(part, start, built, current_vec, core, reg, horizon, config)
+                span = _hypothesize_span(part, start, built, current_vec, config)
                 events[core] = None if span is None else start + span
         pending = [t for t in events.values() if t is not None]
         if not pending:
@@ -337,9 +336,6 @@ def _hypothesize_span(
     start: int,
     built: list[tuple[BudgetVector, int, int]],
     current_vec: BudgetVector,
-    core: int,
-    reg: RegulationConfig,
-    horizon: int,
     config: ExperimentConfig,
 ) -> int | None:
     """Span of ``part`` from its start period under the schedule so far, or
@@ -365,8 +361,8 @@ def _hypothesize_span(
         runs.pop()
     intervals = tuple(BudgetInterval(budgets=vec, length=length) for vec, length in runs)
     view = MemorySchedule(intervals=intervals + (BudgetInterval(budgets=current_vec, length=None),))
-    deadline = (horizon - start) * config.period
-    result = analyze_dynamic(part.workload(deadline), view, core, reg)
+    deadline = (config.hyperperiod_periods - start) * config.period
+    result = analyze_dynamic(part.workload(deadline), view, part.core, config.regulation)
     return result.span if result.status is AnalysisStatus.CONVERGED else None
 
 

@@ -14,18 +14,20 @@ segment's width; see :meth:`membw.stall_curve.StallCurve.stall_ratio`). The
 sequence is non-decreasing and integer, so it either converges or crosses the
 deadline. While mu >= W * q the rate is pinned at q, where I(q) = Q - q, so
 S(W) = (Q - q) * W up to W = mu // q; the term hands that stretch to the loop
-as a stride, which walks it without evaluating the curve.
+as a stride, which walks it without evaluating the curve. It reports a stride
+exactly when mu >= W * q, so the loop's stride guard is also this analyzer's
+convergence check: a fixed point leaves budget headroom (mu < W * q).
 
 Both analyzers share one iteration loop (in :mod:`membw.dynamic_analysis`);
 this module supplies only its own single-curve stall term, which the tests
 and the benchmark use as the independent reference for the dynamic split +
-greedy stall term on one-interval schedules.
+greedy stall term on one-interval schedules. The term carries no breakdown
+detail, so a static result's ``breakdown`` is None.
 """
 
 from __future__ import annotations
 
 from .dynamic_analysis import _fixed_point
-from .errors import InvariantError
 from .results import AnalysisResult
 from .schedule import RegulationConfig, Workload
 from .stall_curve import BudgetVector, curve_for_core
@@ -50,8 +52,4 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
         # S(W') = (Q - q) * W' on the last segment for every W' <= mu // q.
         return num, den, None, ((budgets.total - q) * den, memory // q)
 
-    def finish(span: int, _detail: None) -> None:
-        if memory >= span * q:
-            raise InvariantError("fixed point must leave budget headroom (mu < W*q)")
-
-    return _fixed_point(workload, budgets.total, config, stall_term, finish)
+    return _fixed_point(workload, budgets.total, config, stall_term)

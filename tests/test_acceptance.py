@@ -6,6 +6,7 @@ Tolerances are pinned in-line and are not configurable.
 """
 
 import filecmp
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -27,7 +28,7 @@ from membw import (
     worst_case_span_by_simulation,
 )
 from membw.cli import main as cli_main
-from membw.ima import SweepConfig, SweepPoint, run_sweep
+from membw.ima import SweepConfig, SweepPoint, rows_to_csv, run_sweep
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
 VEC = BudgetVector((2, 2, 5, 7))
@@ -202,6 +203,10 @@ def test_criterion_8_experiment_trends():
     t0 = time.perf_counter()
     rows = run_sweep(SweepConfig(points=points, u_values=u_values, seed=7))
     elapsed = time.perf_counter() - t0
+    # The sweep's every byte, pinned; criterion 9 makes it independent of the
+    # worker count.
+    digest = hashlib.sha256(rows_to_csv(rows, 7).encode()).hexdigest()
+    assert digest == "637ea183b6f1412b8a1f13f5839b97e1b237529c32f2e0ef4e225ff2dc2a4488"
 
     curve = {}
     for r in rows:

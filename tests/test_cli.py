@@ -184,6 +184,16 @@ class TestExperiment:
         assert code == 2
         assert "--plot requires --out" in err
 
+    def test_plot_without_out_refused_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(sweep):
+            pytest.fail("the sweep ran before --plot was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code, out, err = run(capsys, "experiment", "--preset", "vary-m", "--plot")
+        assert code == 2
+        assert out == ""
+        assert "--plot requires --out" in err
+
     def test_plot_script_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBW_THREADS", "1")
         out_file = tmp_path / "smoke.csv"

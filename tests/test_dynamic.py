@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membw import (
-    AnalysisResult,
     AnalysisStatus,
     BudgetInterval,
     BudgetVector,
@@ -29,6 +28,8 @@ from membw import (
     stall_breakdown,
 )
 from membw import dynamic_analysis
+from membw.dynamic_analysis import _fixed_point
+from membw.errors import InvariantError
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
 VECTORS = (BudgetVector((2, 2, 5, 7)), BudgetVector((2, 3, 7, 4)), BudgetVector((4, 4, 4, 4)))
@@ -202,16 +203,39 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
     assert copy.breakdown == result.breakdown
     assert copy.to_json_dict() == result.to_json_dict()
     assert copy == result
-    # The public constructor takes the built trace and breakdown.
-    rebuilt = AnalysisResult(
-        result.status, result.span, result.length_slots, result.trace, result.breakdown, result.shortfall
-    )
-    assert rebuilt == result
-    assert repr(rebuilt) == repr(result)
-    assert rebuilt.to_json_dict() == result.to_json_dict()
-    assert rebuilt.total_stall == result.total_stall
     with pytest.raises(FrozenInstanceError):
         result.span = 0
+
+
+# The loop's guards, driven by fake stall terms: beta = 10 and Q = 10, so the
+# first iterate is W = 1 and a zero stall holds it.
+FAKE_WORKLOAD = Workload(execution=5, memory=5)
+FAKE_CFG = RegulationConfig(period=Fraction(10), l_max=Fraction(1))
+
+
+@pytest.mark.parametrize(
+    ("stall_term", "message"),
+    [
+        # A stride reported over the term's own fixed point.
+        (lambda w: (0, 1, None, (0, 100)), "saturated stride cannot hold a fixed point"),
+        # S(1) = 100 sends W to 11, where the stall falls back to 0.
+        (lambda w: (100 if w == 1 else 0, 1, None, None), "non-decreasing"),
+        # W + 1 forever.
+        (lambda w: (10 * w, 1, None, None), "defensive cap"),
+    ],
+    ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point"],
+)
+def test_fixed_point_guards(stall_term, message):
+    with pytest.raises(InvariantError, match=message):
+        _fixed_point(FAKE_WORKLOAD, 10, FAKE_CFG, stall_term)
+
+
+def test_fixed_point_keeps_the_converged_detail():
+    detail = ("splits", "assignment", "curves")
+    result = _fixed_point(FAKE_WORKLOAD, 10, FAKE_CFG, lambda w: (0, 1, detail, None))
+    assert result.status is AnalysisStatus.CONVERGED
+    assert result.span == 1
+    assert result.detail is detail
 
 
 def test_trace_and_breakdown_are_built_once():
