@@ -9,16 +9,18 @@ the memory demand mu distributed over the intervals so that the summed stall
 is maximized subject to mu^j <= W^j * q^j and sum mu^j <= mu. Because every
 per-interval curve is concave, a marginal-slope greedy is exact: always feed
 the interval whose curve is steepest at its current rate, jumping rates from
-segment start point to segment start point.
+segment start point to segment start point. The greedy sums S as it places
+the memory and returns it with the assignment.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
 that both analyzers run. They differ only in the stall term S(W) they pass
 in: the split + greedy S above here, the single-curve term in
 :mod:`membw.static_analysis`.
 
-Answers are exact. Inside the loop a stall is an integer numerator over the
-least common multiple of the widths of the curve segments it lands on, and
-the next iterate is an integer ceiling division. The result records each
+Answers are exact. Inside the loop a stall is an integer numerator over an
+integer denominator: the width of the one curve segment the greedy filled in
+part, or 1 (the static term: the width of the segment its rate falls on).
+The next iterate is an integer ceiling division. The result records each
 iterate as integers; a :class:`Fraction` is built only when the result's
 trace (one per iterate) or breakdown (one per interval) is read.
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .results import AnalysisResult, AnalysisStatus
@@ -45,15 +46,19 @@ from .stall_curve import StallCurve, curve_for_core
 
 @dataclass(frozen=True, slots=True)
 class MemoryAssignment:
-    """Per-interval transaction counts chosen by the distributor.
+    """Per-interval transaction counts chosen by the distributor, and their stall.
 
-    ``saturated`` marks the degenerate outcome where every interval hit its
-    capacity W^j * q^j before all of mu was placed; the span iteration reacts
-    by growing W, so a converged analysis never ends saturated.
+    ``stall`` is the summed stall S as an integer ratio (numerator, den): den
+    is the width of the one curve segment the greedy filled in part, or 1
+    when it filled whole segments only. ``saturated`` marks the degenerate
+    outcome where every interval hit its capacity W^j * q^j before all of mu
+    was placed; the span iteration reacts by growing W, so a converged
+    analysis never ends saturated.
     """
 
     per_interval: tuple[int, ...]
     saturated: bool
+    stall: tuple[int, int]
 
     @property
     def total(self) -> int:
@@ -71,9 +76,14 @@ class StallBreakdown:
 def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallCurve, ...]) -> MemoryAssignment:
     """Stall-maximizing integral split of ``memory`` over the intervals.
 
-    Greedy on marginal stall slopes; ties go to the lowest interval index so
-    results are reproducible. Runs in O(intervals * segments) steps, with all
-    rate comparisons done on integers (rates mu^j / W^j are never built).
+    Greedy on marginal stall slopes: each interval keeps a pointer to its
+    next curve segment, and each pass fills the whole piece (width * W^j
+    transactions) of the steepest one, comparing integer rises over widths
+    by cross-multiplication; ties go to the lowest interval index, so results
+    are reproducible. The stall is summed on the way: rise * W^j per whole
+    piece, plus rise * left / width for the piece the memory runs out in.
+    Each pass returns or advances one pointer, so the loop ends within
+    intervals * segments passes.
     """
     n = len(splits)
     if len(curves) != n:
@@ -85,33 +95,29 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
             raise InvariantError("distribute_memory: splits must be >= 0")
 
     assign = [0] * n
-    if memory == 0:
-        return MemoryAssignment(per_interval=tuple(assign), saturated=False)
-
-    caps = [w * c.q for w, c in zip(splits, curves)]
-    total = 0
-    max_steps = sum(len(c.segments) + 1 for c in curves) + 1
-    for _ in range(max_steps):
-        best = -1
-        best_seg = None
+    # An interval the span does not reach has no piece to fill.
+    pointers = [0 if w else len(c.segments) for w, c in zip(splits, curves)]
+    left, num = memory, 0
+    while left:
+        best, best_seg = -1, None
         for j in range(n):
-            if assign[j] >= caps[j]:
-                continue
-            curve = curves[j]
-            seg = curve.segments[curve._segment_index(assign[j], splits[j])]
-            # Steeper slope, by cross-multiplying rise/width (widths > 0).
-            if best < 0 or seg.rise * best_seg.width > best_seg.rise * seg.width:
-                best, best_seg = j, seg
+            segs = curves[j].segments
+            if pointers[j] < len(segs):
+                seg = segs[pointers[j]]
+                if best < 0 or seg.rise * best_seg.width > best_seg.rise * seg.width:
+                    best, best_seg = j, seg
         if best < 0:
-            return MemoryAssignment(per_interval=tuple(assign), saturated=True)
-        # Fill interval ``best`` up to its segment's end (or the headroom).
-        headroom = memory - (total - assign[best])
-        new_value = min(headroom, (best_seg.start + best_seg.width) * splits[best])
-        total += new_value - assign[best]
-        assign[best] = new_value
-        if total == memory:
-            return MemoryAssignment(per_interval=tuple(assign), saturated=False)
-    raise InvariantError("greedy distribution exceeded its step bound")
+            return MemoryAssignment(per_interval=tuple(assign), saturated=True, stall=(num, 1))
+        piece = best_seg.width * splits[best]
+        if left < piece:
+            assign[best] += left
+            stall = (num * best_seg.width + best_seg.rise * left, best_seg.width)
+            return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=stall)
+        assign[best] += piece
+        num += best_seg.rise * splits[best]
+        pointers[best] += 1
+        left -= piece
+    return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=(num, 1))
 
 
 def stall_breakdown(
@@ -123,18 +129,6 @@ def stall_breakdown(
         for j in range(len(splits))
     )
     return StallBreakdown(per_interval=stalls, total=sum(stalls, Fraction(0)))
-
-
-def _total_stall_ratio(
-    splits: tuple[int, ...], assignment: MemoryAssignment, curves: tuple[StallCurve, ...]
-) -> tuple[int, int]:
-    """``stall_breakdown(...).total`` as an unreduced integer ratio."""
-    num, den = 0, 1
-    for span, memory, curve in zip(splits, assignment.per_interval, curves):
-        n, d = curve.stall_ratio(span, memory)
-        g = gcd(den, d)
-        num, den = num * (d // g) + n * (den // g), den // g * d
-    return num, den
 
 
 def analyze_dynamic(
@@ -151,13 +145,13 @@ def analyze_dynamic(
     def stall_term(span: int) -> tuple[int, int, tuple, tuple[int, int] | None]:
         splits = split_span(schedule, span)
         assignment = distribute_memory(splits, workload.memory, curves)
-        num, den = _total_stall_ratio(splits, assignment, curves)
         stride = None
         if assignment.saturated:
-            # Every interval is at capacity, so S is the sum of (Q - q^i) * W^i,
-            # and growing the span only lengthens j, the last interval it
-            # reaches: S rises by Q - q^j per period until j ends or the
-            # unplaced memory mu - sum(caps) no longer covers q^j more.
+            # Every interval is at capacity, so S is the integer sum of
+            # (Q - q^i) * W^i over den 1, and growing the span only lengthens
+            # j, the last interval it reaches: S rises by Q - q^j per period
+            # until j ends or the unplaced memory mu - sum(caps) no longer
+            # covers q^j more.
             j = len(splits) - 1
             while not splits[j]:
                 j -= 1
@@ -166,8 +160,8 @@ def analyze_dynamic(
             length = schedule.intervals[j].length
             if length is not None:
                 last = min(last, span + length - splits[j])
-            stride = ((schedule.q_total - q) * den, last)
-        return num, den, (splits, assignment, curves), stride
+            stride = (schedule.q_total - q, last)
+        return *assignment.stall, (splits, assignment, curves), stride
 
     return _fixed_point(workload, schedule.q_total, config, stall_term)
 
@@ -185,10 +179,12 @@ def _fixed_point(
     data the result builds its breakdown from (``(splits, assignment,
     curves)``, or None for no breakdown), and a stride: None, or
     ``(rate, last)`` meaning S(W') = (num + rate * (W' - W)) / den for every
-    W' in [W, last], with last >= W. The loop walks a stride in integer
-    arithmetic and calls ``stall_term`` again only past ``last``; every
-    iterate still gets its deadline, cap and non-decreasing checks, and is
-    recorded as the integers (span, num, den). The result keeps the detail
+    W' in [W, last], with last >= W. (The split + greedy term's saturated
+    stall is an integer over 1, so its rate is Q - q^j; the static term's is
+    (Q - q) * den.) The loop walks a stride in integer arithmetic and calls
+    ``stall_term`` again only past ``last``; every iterate still gets its
+    deadline, cap and non-decreasing checks, and is recorded as the
+    integers (span, num, den). The result keeps the detail
     of the fixed point's ``stall_term`` call and builds its trace and
     breakdown from the record and that detail when they are read.
 

@@ -26,8 +26,10 @@ Policies:
   into one interval, which gives the same span; so while the vector stays
   the same, a running partition's view and hypothesis stay the same, and
   the hypothesis is reused until the partition completes or the vector
-  changes. The vector changes only when some core finishes its last
-  partition, so most events analyze only the partitions that just started.
+  changes. The vector stays SU's until some core finishes its last
+  partition; from then on any completion can shift the live cores' weights
+  and with them the vector. An event re-analyzes the partitions that just
+  started, and every running one only when the vector moved.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -406,7 +408,6 @@ class SweepConfig:
     points: tuple[SweepPoint, ...]
     u_values: tuple[Fraction, ...]
     seed: int
-    policies: tuple[str, ...] = POLICIES
 
 
 @dataclass(frozen=True)
@@ -429,13 +430,13 @@ def _derive_seed(master: int, m: int, mir: Fraction, u: Fraction, index: int) ->
 
 
 def _run_cell(args: tuple) -> dict[str, int]:
-    m, mir, sets, u, seed, policies = args
+    m, mir, sets, u, seed = args
     config = ExperimentConfig(m=m, mir=mir, u=u)
-    counts = {p: 0 for p in policies}
+    counts = {p: 0 for p in POLICIES}
     for index in range(sets):
         rng = random.Random(_derive_seed(seed, m, mir, u, index))
         pset = generate_partition_set(config, rng)
-        for p in policies:
+        for p in POLICIES:
             if evaluate_schedulability(pset, p, config):
                 counts[p] += 1
     return counts
@@ -458,7 +459,7 @@ def run_sweep(sweep: SweepConfig) -> list[ExperimentRow]:
     (seed, m, MIr, U, set index), so results do not depend on execution
     order or worker count (MEMBW_THREADS caps the process pool).
     """
-    cells = [(p.m, p.mir, p.sets, u, sweep.seed, sweep.policies) for p in sweep.points for u in sweep.u_values]
+    cells = [(p.m, p.mir, p.sets, u, sweep.seed) for p in sweep.points for u in sweep.u_values]
     workers = min(_worker_count(), len(cells))
     if workers <= 1:
         cell_counts = [_run_cell(c) for c in cells]
@@ -466,20 +467,11 @@ def run_sweep(sweep: SweepConfig) -> list[ExperimentRow]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_counts = list(pool.map(_run_cell, cells, chunksize=1))
 
-    rows = []
-    index = 0
-    for point in sweep.points:
-        for u in sweep.u_values:
-            counts = cell_counts[index]
-            index += 1
-            for policy in sweep.policies:
-                rows.append(
-                    ExperimentRow(
-                        policy=policy, m=point.m, mir=point.mir, u=u,
-                        schedulable=counts[policy], total=point.sets,
-                    )
-                )
-    return rows
+    return [
+        ExperimentRow(policy=policy, m=m, mir=mir, u=u, schedulable=counts[policy], total=sets)
+        for (m, mir, sets, u, _), counts in zip(cells, cell_counts)
+        for policy in POLICIES
+    ]
 
 
 def rows_to_csv(rows: list[ExperimentRow], seed: int) -> str:

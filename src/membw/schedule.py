@@ -21,8 +21,6 @@ from fractions import Fraction
 from .errors import InvariantError, ScenarioError, ScheduleExhaustedError
 from .stall_curve import BudgetVector
 
-Rational = int | Fraction
-
 
 @dataclass(frozen=True, slots=True)
 class RegulationConfig:

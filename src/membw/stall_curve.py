@@ -189,20 +189,15 @@ class StallCurve:
             return 0, 1
         if memory < 0 or memory > span * self.q:
             raise InvariantError(f"memory {memory} outside feasible range [0, {span * self.q}] for span {span}")
-        seg = self.segments[self._segment_index(memory, span)]
-        return seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width
-
-    def _segment_index(self, memory: int, span: int) -> int:
-        # Locate the segment whose scaled domain [start*span, end*span] holds
-        # ``memory``, comparing integers only. Segment tables are tiny (at
+        # The segment whose scaled domain [start * span, end * span] holds
+        # ``memory``, found by comparing integers. Segment tables are tiny (at
         # most m distinct breakpoints), so a linear scan beats bisect here.
-        idx = 0
-        for i in range(1, len(self._starts)):
-            if self._starts[i] * span <= memory:
-                idx = i
-            else:
-                break
-        return idx
+        segs = self.segments
+        k = 0
+        while k + 1 < len(segs) and segs[k + 1].start * span <= memory:
+            k += 1
+        seg = segs[k]
+        return seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,37 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_module(*argv):
+    """``python -m membw`` in a fresh interpreter, from the repository root."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "membw", *argv],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestModuleEntryPoint:
+    # The exit code reaches the shell, and nothing but the answer reaches stdout.
+    def test_dynamic_worked_example(self):
+        proc = run_module("analyze-dynamic", "--scenario", DYNAMIC)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["status"], doc["span_periods"], doc["total_stall"]) == ("converged", 7, "61")
+
+    def test_missing_scenario_exits_2(self):
+        proc = run_module("analyze-dynamic", "--scenario", "nope.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
 
 
 class TestAnalyzeStatic:

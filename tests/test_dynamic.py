@@ -1,5 +1,6 @@
 """Greedy memory distribution over intervals and the dynamic fixed point."""
 
+import hashlib
 import math
 import pickle
 import random
@@ -55,6 +56,7 @@ class TestDistributeMemory:
         breakdown = stall_breakdown((5, 1, 0), assignment, CURVES3)
         assert breakdown.per_interval == (50, 8, 0)
         assert breakdown.total == 58
+        assert Fraction(*assignment.stall) == 58
 
     def test_zero_memory(self):
         assignment = distribute_memory((5, 1, 0), 0, CURVES3)
@@ -67,6 +69,8 @@ class TestDistributeMemory:
         assert not assignment.saturated
         assert assignment.per_interval == (25, 7, 0)
         assert assignment.total == 32
+        # Whole segments only, so the stall is an integer over 1.
+        assert assignment.stall[1] == 1
 
     def test_overflow_reports_saturation(self):
         # One transaction more than fits: the distributor fills every cap and
@@ -76,10 +80,20 @@ class TestDistributeMemory:
         assert assignment.saturated
         assert assignment.per_interval == (25, 7, 0)
         assert assignment.total == 32
+        # Every interval at capacity stalls (Q - q^j) * W^j: an integer.
+        assert assignment.stall == ((16 - 5) * 5 + (16 - 7) * 1, 1)
 
     def test_single_interval_all_memory(self):
         assignment = distribute_memory((4,), 9, (CURVES3[0],))
         assert assignment.per_interval == (9,)
+
+    def test_ties_go_to_the_lower_interval(self):
+        # Two intervals with the same curve (pieces 2 and 3 wide) and span:
+        # every piece goes to interval 1 before its twin in interval 2.
+        curve = CURVES3[0]
+        placed = {mu: distribute_memory((2, 2), mu, (curve, curve)).per_interval for mu in range(21)}
+        assert [placed[mu] for mu in (3, 4, 5, 9, 15, 20)] == [(3, 0), (4, 0), (4, 1), (5, 4), (10, 5), (10, 10)]
+        assert all(first >= second for first, second in placed.values())
 
 
 @st.composite
@@ -96,7 +110,7 @@ def distribution_instances(draw):
         curves.append(curve_for_core(budgets, core))
         splits.append(draw(st.integers(0, 4)))
     capacity = sum(w * c.q for w, c in zip(splits, curves))
-    memory = draw(st.integers(0, capacity))
+    memory = draw(st.integers(0, capacity + 5))
     return tuple(splits), memory, tuple(raws), tuple(curves)
 
 
@@ -113,9 +127,14 @@ class TestGreedyOptimality:
     @given(distribution_instances())
     @settings(max_examples=150, deadline=None)
     def test_assignment_is_feasible(self, inst):
+        # Feasible, saturated exactly when memory overflows the capacity, and
+        # carrying the stall that the Fraction path computes for it.
         splits, memory, raws, curves = inst
         assignment = distribute_memory(splits, memory, curves)
-        assert sum(assignment.per_interval) == memory
+        capacity = sum(w * c.q for w, c in zip(splits, curves))
+        assert sum(assignment.per_interval) == min(memory, capacity)
+        assert assignment.saturated == (memory > capacity)
+        assert Fraction(*assignment.stall) == stall_breakdown(splits, assignment, curves).total
         for alloc, span, curve in zip(assignment.per_interval, splits, curves):
             assert 0 <= alloc <= span * curve.q
 
@@ -477,3 +496,44 @@ def _random_composition(rng: random.Random, total: int, m: int) -> tuple[int, ..
     cuts = sorted(rng.sample(range(1, total), m - 1))
     edges = [0, *cuts, total]
     return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+def _digest_instance(rng: random.Random):
+    """A 1-5 interval schedule (open or fully bounded), a core and a workload
+    with or without a deadline, drawn from ``rng``."""
+    m = rng.randint(2, 4)
+    n = rng.randint(1, 5)
+    first = tuple(rng.randint(1, 6) for _ in range(m))
+    total = sum(first)
+    vectors = [first] + [_random_composition(rng, total, m) for _ in range(n - 1)]
+    lengths = [rng.randint(1, 6) for _ in range(n - 1)]
+    lengths.append(None if rng.random() < 0.5 else rng.randint(1, 12))
+    schedule = MemorySchedule(
+        intervals=tuple(BudgetInterval(budgets=BudgetVector(v), length=n_) for v, n_ in zip(vectors, lengths))
+    )
+    cfg = RegulationConfig(period=Fraction(total), l_max=Fraction(1))
+    deadline = None if rng.random() < 0.5 else Fraction(rng.randint(1, 40 * total))
+    wl = Workload(execution=rng.randint(1, 60), memory=rng.randint(0, 80), deadline=deadline)
+    return schedule, rng.randint(1, m), cfg, wl
+
+
+def _answer(result) -> str:
+    # Values go in as str(Fraction), never as the raw record, whose
+    # unreduced denominators are the engine's own business.
+    trace = [(t.k, t.span, str(t.stall)) for t in result.trace]
+    breakdown = None
+    if result.breakdown is not None:
+        breakdown = [(b.interval, b.span, b.memory, str(b.stall)) for b in result.breakdown]
+    return repr((result.status.value, result.span, result.to_json_dict(), trace, breakdown))
+
+
+def test_answer_digest_is_pinned():
+    # Every answer of both analyzers over 3,000 seeded random instances: a
+    # change to how either one computes may not move any of them.
+    rng = random.Random(20181)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        schedule, core, cfg, wl = _digest_instance(rng)
+        digest.update(_answer(analyze_dynamic(wl, schedule, core, cfg)).encode())
+        digest.update(_answer(analyze_static(wl, schedule.intervals[0].budgets, core, cfg)).encode())
+    assert digest.hexdigest() == "5f05fd066b0df01e2e3f0abc4ddf2d2498d0f68822650ceaaa1b84713819f57a"
