@@ -13,11 +13,11 @@ import json
 import os
 import sys
 
-from .dynamic_analysis import analyze_dynamic, distribute_memory, stall_breakdown
+from .dynamic_analysis import analyze_dynamic
 from .errors import MembwError
 from .ima import preset_sweep, rows_to_csv, run_sweep
 from .oracles import ENUMERATION_GUARD, _check_assignment_space, oracle_distribute
-from .schedule import Scenario, load_scenario, split_span
+from .schedule import Scenario, load_scenario
 from .static_analysis import analyze_static
 from .stall_curve import build_raw_points, curve_for_core
 
@@ -133,14 +133,12 @@ def _cmd_oracle(args) -> int:
     result = analyze_dynamic(workload, scenario.schedule, core, scenario.config)
     doc = {"command": "oracle", "core": core, "analysis": result.to_json_dict()}
     if result.converged:
-        splits = split_span(scenario.schedule, result.span)
-        intervals = scenario.schedule.intervals
+        # The converged analysis's own split, greedy assignment and curves.
+        splits, greedy, curves = result.detail
         # Raw points take O(q) each, so refuse an over-guard enumeration first.
-        _check_assignment_space([w * iv.budgets.budget_of(core) for w, iv in zip(splits, intervals)])
-        curves = tuple(curve_for_core(iv.budgets, core) for iv in intervals)
-        raws = tuple(build_raw_points(iv.budgets, core) for iv in intervals)
-        greedy = distribute_memory(splits, workload.memory, curves)
-        greedy_value = stall_breakdown(splits, greedy, curves).total
+        _check_assignment_space([w * curve.q for w, curve in zip(splits, curves)])
+        raws = tuple(build_raw_points(iv.budgets, core) for iv in scenario.schedule.intervals)
+        greedy_value = result.total_stall
         oracle_value, oracle_assign = oracle_distribute(splits, workload.memory, raws)
         doc["greedy_objective"] = str(greedy_value)
         doc["oracle_objective"] = str(oracle_value)

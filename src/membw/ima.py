@@ -2,10 +2,13 @@
 
 Models an avionics-style system: m cores, each running a fixed sequence of
 time-partitioned applications ("partitions") inside a major cycle of H
-seconds. Every partition is abstracted as one workload (E, mu) with deadline
-H; a core's partitions execute back-to-back, each starting at its
-predecessor's completion period. A partition set is schedulable under a
-budget policy iff every core's last partition completes by H.
+seconds. The model is fixed: 4 partitions per core, H = 128 ms, and 1 ms
+regulation periods of Q = 41,666 transactions. A sweep point varies only m,
+the HIGH-intensity ratio MIr and the per-core utilization U. Every partition
+is abstracted as one workload (E, mu) with deadline H; a core's partitions
+execute back-to-back, each starting at its predecessor's completion period.
+A partition set is schedulable under a budget policy iff every core's last
+partition completes by H.
 
 Policies:
 
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from hashlib import blake2b
+from typing import ClassVar
 
 from .dynamic_analysis import analyze_dynamic
 from .errors import InvariantError
@@ -84,44 +88,33 @@ class PartitionSet:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Generation parameters for one sweep point (fixed m, MIr, U)."""
+    """One sweep point (m, MIr, U) of the fixed IMA model.
+
+    The model is the class constants (H and the period in seconds); the
+    slot length, H in periods and the regulation config follow from them.
+    """
 
     m: int
     mir: Fraction
     u: Fraction
-    partitions_per_core: int = 4
-    hyperperiod: Fraction = Fraction(128, 1000)
-    period: Fraction = Fraction(1, 1000)
-    q_total: int = 41666
-    high_range: tuple[Fraction, Fraction] = (Fraction(1, 2), Fraction(99, 100))
-    low_range: tuple[Fraction, Fraction] = (Fraction(1, 1000), Fraction(1, 10))
+
+    partitions_per_core: ClassVar[int] = 4
+    hyperperiod: ClassVar[Fraction] = Fraction(128, 1000)
+    period: ClassVar[Fraction] = Fraction(1, 1000)
+    q_total: ClassVar[int] = 41666
+    high_range: ClassVar[tuple[Fraction, Fraction]] = (Fraction(1, 2), Fraction(99, 100))
+    low_range: ClassVar[tuple[Fraction, Fraction]] = (Fraction(1, 1000), Fraction(1, 10))
+    slot: ClassVar[Fraction] = period / q_total
+    hyperperiod_periods: ClassVar[int] = int(hyperperiod / period)
+    regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise InvariantError("experiment config: m must be >= 2")
-        if self.partitions_per_core < 1:
-            raise InvariantError("experiment config: partitions_per_core must be >= 1")
+        if not 2 <= self.m <= self.q_total:
+            raise InvariantError("experiment config: m must lie in [2, Q] (>= 1 transaction per core)")
         if not 0 <= self.mir <= 1:
             raise InvariantError("experiment config: MIr must lie in [0, 1]")
         if self.u <= 0:
             raise InvariantError("experiment config: U must be > 0")
-        if self.q_total < self.m:
-            raise InvariantError("experiment config: q_total must allow >= 1 transaction per core")
-        if (self.hyperperiod / self.period).denominator != 1:
-            raise InvariantError("experiment config: hyperperiod must be a whole number of periods")
-
-    @cached_property
-    def hyperperiod_periods(self) -> int:
-        return int(self.hyperperiod / self.period)
-
-    @cached_property
-    def regulation(self) -> RegulationConfig:
-        """The regulation config of this sweep point, built on first read."""
-        return RegulationConfig(period=self.period, l_max=self.period / self.q_total, q_total=self.q_total)
-
-    @property
-    def slot(self) -> Fraction:
-        return self.period / self.q_total
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -142,17 +135,17 @@ def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[Fraction]:
 
 def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> PartitionSet:
     """Draw one partition set; see the module docstring for the draw order."""
-    n = config.m * config.partitions_per_core
+    ppc = config.partitions_per_core
+    n = config.m * ppc
     high_count = _round_half_up(config.mir * n)
     high_ids = set(rng.sample(range(n), high_count))
     perm = list(range(n))
     rng.shuffle(perm)
-    core_of = {pid: pos // config.partitions_per_core + 1 for pos, pid in enumerate(perm)}
+    core_of = {pid: pos // ppc + 1 for pos, pid in enumerate(perm)}
 
     util_of: dict[int, Fraction] = {}
-    for core in range(1, config.m + 1):
-        members = sorted(pid for pid in range(n) if core_of[pid] == core)
-        for pid, u in zip(members, _uunifast(rng, config.partitions_per_core, config.u)):
+    for pos in range(0, n, ppc):
+        for pid, u in zip(sorted(perm[pos : pos + ppc]), _uunifast(rng, ppc, config.u)):
             util_of[pid] = u
 
     slot = config.slot
@@ -208,18 +201,19 @@ def policy_se(config: ExperimentConfig) -> BudgetVector:
     return BudgetVector(tuple(base + (1 if i < rem else 0) for i in range(config.m)))
 
 
-def _memory_weights(config: ExperimentConfig, unfinished: list[Partition]) -> list[Fraction]:
-    weights = []
-    for core in range(1, config.m + 1):
-        mu_sum = sum(p.memory for p in unfinished if p.core == core)
-        e_sum = sum(p.execution for p in unfinished if p.core == core)
-        weights.append(Fraction(mu_sum, mu_sum + e_sum) if mu_sum + e_sum > 0 else Fraction(0))
-    return weights
+def _memory_weights(m: int, unfinished: Iterable[Partition]) -> list[Fraction]:
+    """Per-core sum mu / (sum mu + sum E) over ``unfinished``; 0 if none."""
+    memory = [0] * m
+    total = [0] * m
+    for p in unfinished:
+        memory[p.core - 1] += p.memory
+        total[p.core - 1] += p.memory + p.execution
+    return [Fraction(mu, t) if t else Fraction(0) for mu, t in zip(memory, total)]
 
 
 def policy_su(pset: PartitionSet, config: ExperimentConfig) -> BudgetVector:
     """Weighted split from the memory pressure of the whole set at t = 0."""
-    return split_budget_by_weights(config.q_total, _memory_weights(config, list(pset.partitions)))
+    return split_budget_by_weights(config.q_total, _memory_weights(config.m, pset.partitions))
 
 
 @dataclass
@@ -236,23 +230,23 @@ class DynamicPolicyOutcome:
     completions: dict[int, int]
 
 
-def _reclaim_vector(config: ExperimentConfig, base: BudgetVector, unfinished: list[Partition]) -> BudgetVector:
+def _reclaim_vector(base: BudgetVector, unfinished: list[Partition]) -> BudgetVector:
     """Budget vector after reclaiming from cores with no unfinished work.
 
     Cores that still have unfinished partitions keep at least their base
     (initial) budget; finished cores fall to the 1-transaction floor. The
     freed budget is shared over the active cores in proportion to weights
     recomputed from the unfinished demands (largest remainder, index ties;
-    even shares when every recomputed weight is zero).
+    even shares when every recomputed weight is zero). m and Q are base's.
     """
     live = sorted({p.core for p in unfinished})
-    if len(live) == config.m or not live:
+    if len(live) == base.m or not live:
         return base
-    budgets = [1] * config.m
+    budgets = [1] * base.m
     for core in live:
         budgets[core - 1] = base.budget_of(core)
-    weights = _memory_weights(config, unfinished)
-    extras = _largest_remainder(config.q_total - sum(budgets), [weights[core - 1] for core in live])
+    weights = _memory_weights(base.m, unfinished)
+    extras = _largest_remainder(base.total - sum(budgets), [weights[core - 1] for core in live])
     for core, extra in zip(live, extras):
         budgets[core - 1] += extra
     return BudgetVector(tuple(budgets))
@@ -285,9 +279,8 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
         if queue:
             active[core] = (queue.pop(0), 0)
 
-    unfinished = [p for p in pset.partitions]
     built: list[tuple[BudgetVector, int, int]] = []
-    base = split_budget_by_weights(config.q_total, _memory_weights(config, unfinished))
+    base = policy_su(pset, config)
     current_vec = base
     current_start = 0
     completions: dict[int, int] = {}
@@ -314,13 +307,14 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
             part, _ = active.pop(core)
             del events[core]
             completions[part.id] = t_next
-            unfinished.remove(part)
             if queues[core]:
                 if t_next >= horizon:
                     # Successor would start at (or past) the deadline.
                     return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
                 active[core] = (queues[core].pop(0), t_next)
-        next_vec = _reclaim_vector(config, base, unfinished)
+        work = [part for part, _ in active.values()]
+        work += [part for queue in queues.values() for part in queue]
+        next_vec = _reclaim_vector(base, work)
         if next_vec != current_vec:
             events.clear()
         current_vec = next_vec
@@ -363,14 +357,18 @@ def _hypothesize_span(
         runs.pop()
     intervals = tuple(BudgetInterval(budgets=vec, length=length) for vec, length in runs)
     view = MemorySchedule(intervals=intervals + (BudgetInterval(budgets=current_vec, length=None),))
+    return _span_within(part, start, view, config)
+
+
+def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
+    """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H."""
     deadline = (config.hyperperiod_periods - start) * config.period
-    result = analyze_dynamic(part.workload(deadline), view, part.core, config.regulation)
+    result = analyze_dynamic(part.workload(deadline), schedule, part.core, config.regulation)
     return result.span if result.status is AnalysisStatus.CONVERGED else None
 
 
 def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentConfig) -> bool:
     """True iff every core's last partition completes by H under ``policy``."""
-    policy = policy.upper()
     if policy == "DY":
         return policy_dy(pset, config).schedulable
     if policy == "SE":
@@ -380,19 +378,16 @@ def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentC
     else:
         raise InvariantError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    reg = config.regulation
-    horizon = config.hyperperiod_periods
     schedule = MemorySchedule.static(vector)
     for core in range(1, config.m + 1):
         start = 0
         for part in pset.by_core(core):
-            if start >= horizon:
+            if start >= config.hyperperiod_periods:
                 return False
-            deadline = (horizon - start) * config.period
-            result = analyze_dynamic(part.workload(deadline), schedule, core, reg)
-            if result.status is not AnalysisStatus.CONVERGED:
+            span = _span_within(part, start, schedule, config)
+            if span is None:
                 return False
-            start += result.span
+            start += span
     return True
 
 

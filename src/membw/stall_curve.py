@@ -19,10 +19,11 @@ integer rises over integer widths and evaluates it exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InvariantError
 
@@ -93,10 +94,11 @@ class RawStallPoints:
 
 
 def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
-    """Evaluate the raw stall values I(0..q) for ``core`` under ``budgets``."""
+    """Evaluate the raw stall values I(0..q) for ``core`` under ``budgets``, in O(q log m)."""
     q = budgets.budget_of(core)
-    others = budgets.others(core)
-    values = [sum(min(k, qj) for qj in others) for k in range(q)]
+    others = sorted(budgets.others(core))
+    # For k < q, I(k) - I(k - 1) is the number of other budgets >= k.
+    values = list(accumulate((len(others) - bisect_left(others, k) for k in range(1, q)), initial=0))
     values.append(budgets.total - q)
     return RawStallPoints(core=core, values=tuple(values))
 
@@ -252,8 +254,8 @@ def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
     concave with breakpoints only at other cores' budget values; the single
     appended point (q, Q - q) is the only possible convexity. Hulling the
     breakpoint vertices therefore equals hulling every integer point, in
-    O(m log m) instead of O(q). Matters because real configurations have
-    budgets in the tens of thousands.
+    O(m log m) (a sort, then one prefix-sum pass) instead of O(q). Matters
+    because real configurations have budgets in the tens of thousands.
     """
     return _cached_curve(budgets, core)
 
@@ -269,11 +271,14 @@ def _cached_curve(budgets: BudgetVector, core: int) -> StallCurve:
     holds curves that are never asked for again.
     """
     q = budgets.budget_of(core)
-    others = budgets.others(core)
-    xs = {0, q - 1, q}
-    xs.update(qj for qj in others if qj < q)
+    others = sorted(budgets.others(core))
     vertices = []
-    for x in sorted(xs):
-        y = budgets.total - q if x == q else sum(min(x, qj) for qj in others)
-        vertices.append((x, y))
+    # I(x) = (sum of the i budgets <= x) + x * (number of budgets > x).
+    below = i = 0
+    for x in sorted({0, q - 1, *(qj for qj in others if qj < q)}):
+        while i < len(others) and others[i] <= x:
+            below += others[i]
+            i += 1
+        vertices.append((x, below + x * (len(others) - i)))
+    vertices.append((q, budgets.total - q))
     return _curve_from_vertices(core, q, _upper_hull(vertices))

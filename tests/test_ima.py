@@ -1,5 +1,8 @@
 """Partition-set generation, budget policies, and the schedulability sweep."""
 
+import dataclasses
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ from membw.ima import (
     Partition,
     SweepConfig,
     SweepPoint,
+    _derive_seed,
     evaluate_schedulability,
     generate_partition_set,
     policy_dy,
@@ -40,6 +44,19 @@ CFG = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(1, 2))
 
 def _set(seed: int = 42, config: ExperimentConfig = CFG):
     return generate_partition_set(config, random.Random(seed))
+
+
+class TestExperimentConfig:
+    def test_model_constants_and_inputs(self):
+        # A sweep point sets only (m, MIr, U); the model's constants must
+        # agree with each other, and m must leave each core >= 1 transaction.
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["m", "mir", "u"]
+        assert ExperimentConfig.hyperperiod_periods * ExperimentConfig.period == ExperimentConfig.hyperperiod
+        assert ExperimentConfig.slot * ExperimentConfig.q_total == ExperimentConfig.period
+        assert ExperimentConfig.regulation.transactions_per_period == ExperimentConfig.q_total
+        for m in (1, ExperimentConfig.q_total + 1):
+            with pytest.raises(InvariantError):
+                ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2))
 
 
 class TestGeneration:
@@ -124,12 +141,11 @@ class TestBudgetSplitting:
         # and the 4 reclaimed transactions (20 - (5 + 1 + 6 + 4)) split
         # evenly: 4/3 each, a three-way tie in fractional parts that core 1
         # wins by index.
-        cfg = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(1, 2), q_total=20)
         unfinished = [
             Partition(id=pid, core=core, mi=Fraction(0), util=Fraction(1, 8), execution=10, memory=0)
             for pid, core in enumerate((1, 3, 4))
         ]
-        assert _reclaim_vector(cfg, BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
+        assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
 
 
 class TestDynamicPolicy:
@@ -256,6 +272,26 @@ class TestEvaluation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(InvariantError):
             evaluate_schedulability(_set(), "XX", CFG)
+
+    def test_answer_digest_is_pinned(self):
+        # Every generated partition and every policy outcome over 297 seeded
+        # sets (m 4/8/12 x MIr 0.15/0.25/0.50 x 11 U values x 3 sets): a
+        # change to generation or to a policy may not move any of them.
+        digest = hashlib.sha256()
+        mirs = (Fraction(15, 100), Fraction(1, 4), Fraction(1, 2))
+        us = tuple(Fraction(10 + 8 * k, 100) for k in range(11))
+        for m, mir, u, index in itertools.product((4, 8, 12), mirs, us, range(3)):
+            cfg = ExperimentConfig(m=m, mir=mir, u=u)
+            pset = generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, index)))
+            for p in pset.partitions:
+                digest.update(f"{p.id},{p.core},{p.mi},{p.util},{p.execution},{p.memory};".encode())
+            se = evaluate_schedulability(pset, "SE", cfg)
+            su = evaluate_schedulability(pset, "SU", cfg)
+            dy = policy_dy(pset, cfg)
+            intervals = dy.schedule.intervals if dy.schedule is not None else ()
+            built = [(iv.budgets.budgets, iv.length) for iv in intervals]
+            digest.update(f"{se},{su},{dy.schedulable},{sorted(dy.completions.items())},{built}|".encode())
+        assert digest.hexdigest() == "fdf0d44fa804bef34cc35be0f08ca124d762d4e911c8e42d84832504f2223f00"
 
     def test_policies_build_no_trace_or_breakdown(self, monkeypatch):
         # The policies read only status and span, so no analysis they run
