@@ -38,7 +38,10 @@ Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
 per-core utilizations come from UUniFast (exact rational sum U); memory
 intensity is drawn uniformly from the mode's range. Demands follow as
-E = round(u * H * (1 - MI) / slot) clamped >= 1 and mu = round(u * H * MI / slot).
+E = round(u * H * (1 - MI) / slot) clamped >= 1 and mu = round(u * H * MI / slot),
+rounding halves up. Every float drawn is dyadic, so both are computed
+exactly in integers: UUniFast telescopes on (numerator, denominator) pairs,
+H / slot is the integer H in slots, and rounding is one floor division.
 Draw order (one seeded generator per set): HIGH-mode sample, core
 permutation, per-core UUniFast in core order, per-partition MI in id order.
 """
@@ -91,7 +94,8 @@ class ExperimentConfig:
     """One sweep point (m, MIr, U) of the fixed IMA model.
 
     The model is the class constants (H and the period in seconds); the
-    slot length, H in periods and the regulation config follow from them.
+    slot length, H in periods and in slots, and the regulation config follow
+    from them. MIr and U are exact: ints or Fractions, never floats.
     """
 
     m: int
@@ -106,9 +110,13 @@ class ExperimentConfig:
     low_range: ClassVar[tuple[Fraction, Fraction]] = (Fraction(1, 1000), Fraction(1, 10))
     slot: ClassVar[Fraction] = period / q_total
     hyperperiod_periods: ClassVar[int] = int(hyperperiod / period)
+    hyperperiod_slots: ClassVar[int] = hyperperiod_periods * q_total
     regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
 
     def __post_init__(self) -> None:
+        for value in (self.mir, self.u):
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+                raise InvariantError(f"experiment config: MIr and U must be int or Fraction, got {value!r}")
         if not 2 <= self.m <= self.q_total:
             raise InvariantError("experiment config: m must lie in [2, Q] (>= 1 transaction per core)")
         if not 0 <= self.mir <= 1:
@@ -117,19 +125,26 @@ class ExperimentConfig:
             raise InvariantError("experiment config: U must be > 0")
 
 
-def _round_half_up(x: Fraction) -> int:
-    return int(x + Fraction(1, 2))
+def _round_half_up(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, halves up (num >= 0, den > 0)."""
+    return (2 * num + den) // (2 * den)
 
 
-def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[Fraction]:
-    """n utilizations summing to ``total`` exactly (rational telescoping)."""
-    utils: list[Fraction] = []
-    remaining = total
+def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[tuple[int, int]]:
+    """n utilizations summing to ``total`` exactly, as unreduced (num, den).
+
+    Each draw r = p / d is a dyadic float, so the telescoping stays in
+    integers: from the remainder num / den, the utilization is
+    num * (d - p) / (den * d) and the next remainder num * p / (den * d).
+    """
+    utils: list[tuple[int, int]] = []
+    num, den = total.numerator, total.denominator
     for i in range(n, 1, -1):
-        nxt = remaining * Fraction(rng.random() ** (1.0 / (i - 1)))
-        utils.append(remaining - nxt)
-        remaining = nxt
-    utils.append(remaining)
+        p, d = (rng.random() ** (1.0 / (i - 1))).as_integer_ratio()
+        den *= d
+        utils.append((num * (d - p), den))
+        num *= p
+    utils.append((num, den))
     return utils
 
 
@@ -137,27 +152,30 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     """Draw one partition set; see the module docstring for the draw order."""
     ppc = config.partitions_per_core
     n = config.m * ppc
-    high_count = _round_half_up(config.mir * n)
+    high_count = _round_half_up(config.mir.numerator * n, config.mir.denominator)
     high_ids = set(rng.sample(range(n), high_count))
     perm = list(range(n))
     rng.shuffle(perm)
     core_of = {pid: pos // ppc + 1 for pos, pid in enumerate(perm)}
 
-    util_of: dict[int, Fraction] = {}
+    util_of: dict[int, tuple[int, int]] = {}
     for pos in range(0, n, ppc):
         for pid, u in zip(sorted(perm[pos : pos + ppc]), _uunifast(rng, ppc, config.u)):
             util_of[pid] = u
 
-    slot = config.slot
     partitions = []
     for pid in range(n):
         lo, hi = config.high_range if pid in high_ids else config.low_range
-        mi = Fraction(rng.uniform(float(lo), float(hi)))
-        demand = util_of[pid] * config.hyperperiod / slot
-        execution = max(1, _round_half_up(demand * (1 - mi)))
-        memory = _round_half_up(demand * mi)
+        mi = rng.uniform(float(lo), float(hi))
+        mi_num, mi_den = mi.as_integer_ratio()
+        u_num, u_den = util_of[pid]
+        # demand * MI = u * (H / slot) * MI, over the denominator u_den * mi_den.
+        scaled, den = u_num * config.hyperperiod_slots, u_den * mi_den
+        execution = max(1, _round_half_up(scaled * (mi_den - mi_num), den))
+        memory = _round_half_up(scaled * mi_num, den)
+        util = Fraction(u_num, u_den)
         partitions.append(
-            Partition(id=pid, core=core_of[pid], mi=mi, util=util_of[pid], execution=execution, memory=memory)
+            Partition(id=pid, core=core_of[pid], mi=Fraction(mi), util=util, execution=execution, memory=memory)
         )
     return PartitionSet(partitions=tuple(partitions))
 

@@ -27,6 +27,7 @@ from membw.ima import (
     SweepConfig,
     SweepPoint,
     _derive_seed,
+    _round_half_up,
     evaluate_schedulability,
     generate_partition_set,
     policy_dy,
@@ -46,6 +47,22 @@ def _set(seed: int = 42, config: ExperimentConfig = CFG):
     return generate_partition_set(config, random.Random(seed))
 
 
+@pytest.fixture(scope="module")
+def edge_sets():
+    """60 seeded sets at each edge point: m 2/16 x MIr 0/1 x U 1/100, 1, 3/2.
+
+    At U = 1/100 UUniFast yields a few utilizations so small that E rounds
+    to 0 and is clamped to 1, or mu rounds to 0.
+    """
+    sets = []
+    us = (Fraction(1, 100), Fraction(1), Fraction(3, 2))
+    for m, mir, u in itertools.product((2, 16), (Fraction(0), Fraction(1)), us):
+        cfg = ExperimentConfig(m=m, mir=mir, u=u)
+        for index in range(60):
+            sets.append((cfg, generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, index)))))
+    return sets
+
+
 class TestExperimentConfig:
     def test_model_constants_and_inputs(self):
         # A sweep point sets only (m, MIr, U); the model's constants must
@@ -54,9 +71,23 @@ class TestExperimentConfig:
         assert ExperimentConfig.hyperperiod_periods * ExperimentConfig.period == ExperimentConfig.hyperperiod
         assert ExperimentConfig.slot * ExperimentConfig.q_total == ExperimentConfig.period
         assert ExperimentConfig.regulation.transactions_per_period == ExperimentConfig.q_total
+        assert ExperimentConfig.hyperperiod_slots * ExperimentConfig.slot == ExperimentConfig.hyperperiod
         for m in (1, ExperimentConfig.q_total + 1):
             with pytest.raises(InvariantError):
                 ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2))
+
+    def test_mir_and_u_must_be_exact(self):
+        # A float (or a bool) passes the range checks but would make the
+        # generated utilizations inexact.
+        half = Fraction(1, 2)
+        for mir, u in ((0.25, half), (half, 0.5), (True, half), (half, True)):
+            with pytest.raises(InvariantError):
+                ExperimentConfig(m=4, mir=mir, u=u)
+        # An int is exact and draws the same set as the equal Fraction.
+        for mir, u in ((0, 1), (1, 2)):
+            as_int = ExperimentConfig(m=4, mir=mir, u=u)
+            as_fraction = ExperimentConfig(m=4, mir=Fraction(mir), u=Fraction(u))
+            assert generate_partition_set(as_int, random.Random(5)) == generate_partition_set(as_fraction, random.Random(5))
 
 
 class TestGeneration:
@@ -91,6 +122,37 @@ class TestGeneration:
             demand = p.util * CFG.hyperperiod / slot
             assert p.execution == max(1, int(demand * (1 - p.mi) + Fraction(1, 2)))
             assert p.memory == int(demand * p.mi + Fraction(1, 2))
+
+    def test_demand_arithmetic_at_edge_points(self, edge_sets):
+        # test_demand_arithmetic's Fraction reference over the edge points,
+        # which include E clamped to 1 and mu rounded to 0.
+        clamped = zeroed = 0
+        for cfg, pset in edge_sets:
+            for p in pset.partitions:
+                assert type(p.mi) is Fraction and type(p.util) is Fraction
+                demand = p.util * cfg.hyperperiod / cfg.slot
+                rounded_execution = int(demand * (1 - p.mi) + Fraction(1, 2))
+                assert p.execution == max(1, rounded_execution)
+                assert p.memory == int(demand * p.mi + Fraction(1, 2))
+                clamped += rounded_execution == 0
+                zeroed += p.memory == 0
+            for core in range(1, cfg.m + 1):
+                assert sum(p.util for p in pset.by_core(core)) == cfg.u
+        assert clamped and zeroed
+
+    def test_edge_digest_is_pinned(self, edge_sets):
+        # Every partition of the edge sets: a change to generation may not
+        # move any of them.
+        digest = hashlib.sha256()
+        for _, pset in edge_sets:
+            for p in pset.partitions:
+                digest.update(f"{p.id},{p.core},{p.mi},{p.util},{p.execution},{p.memory};".encode())
+        assert digest.hexdigest() == "41fccb6c8e4109ae8589862088cde89caee8eeabbd951094f9e8fe14935cb442"
+
+    def test_round_half_up_on_ties(self):
+        assert [_round_half_up(n, d) for n, d in ((5, 2), (0, 1), (1, 2), (3, 2), (7, 4), (5, 4), (1, 3))] == [
+            3, 0, 1, 2, 2, 1, 0,
+        ]
 
     def test_same_seed_same_set(self):
         assert _set(99) == _set(99)
