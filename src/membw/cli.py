@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .dynamic_analysis import analyze_dynamic
 from .errors import MembwError
@@ -62,9 +63,10 @@ def _pick_core(scenario: Scenario, core: int | None) -> int:
 
 
 def _print_trace(result) -> None:
+    # Streamed from the run record: a long climb never builds its trace.
     print("k,W,S")
-    for entry in result.trace:
-        print(f"{entry.k},{entry.span},{entry.stall}")
+    for k, (span, num, den) in enumerate(result.iterates()):
+        print(f"{k},{span},{Fraction(num, den)}")
 
 
 def _cmd_analyze_static(args) -> int:

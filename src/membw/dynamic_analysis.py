@@ -20,16 +20,18 @@ in: the split + greedy S above here, the single-curve term in
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in
 part, or 1 (the static term: the width of the segment its rate falls on).
-The next iterate is an integer ceiling division. The result records each
-iterate as integers; a :class:`Fraction` is built only when the result's
+The next iterate is an integer ceiling division. The result records the
+iterates as integers; a :class:`Fraction` is built only when the result's
 trace (one per iterate) or breakdown (one per interval) is read.
 
 While mu exceeds the span's capacity (the distributor reports ``saturated``)
-the iteration climbs about one period per iterate, and S is affine in W until
-the last interval the span reaches ends or its capacity catches up with mu.
-The split + greedy term reports that piece as a stride; the loop walks it by
-integer addition, still recording every iterate, and calls the split
-and the greedy again only where the piece ends.
+the iteration climbs slowly, often one period per iterate, and S is affine in
+W until the last interval the span reaches ends or its capacity catches up
+with mu. The split + greedy term reports that piece as a stride. Along a
+stride the step to the next iterate never grows, so the loop crosses each run
+of equal steps in one jump and records it as one entry; it calls the split
+and the greedy again only where the stride ends. A climb of n iterates thus
+costs O(runs), not O(n), in time and in record size.
 """
 
 from __future__ import annotations
@@ -179,14 +181,29 @@ def _fixed_point(
     data the result builds its breakdown from (``(splits, assignment,
     curves)``, or None for no breakdown), and a stride: None, or
     ``(rate, last)`` meaning S(W') = (num + rate * (W' - W)) / den for every
-    W' in [W, last], with last >= W. (The split + greedy term's saturated
-    stall is an integer over 1, so its rate is Q - q^j; the static term's is
-    (Q - q) * den.) The loop walks a stride in integer arithmetic and calls
-    ``stall_term`` again only past ``last``; every iterate still gets its
-    deadline, cap and non-decreasing checks, and is recorded as the
-    integers (span, num, den). The result keeps the detail
-    of the fixed point's ``stall_term`` call and builds its trace and
-    breakdown from the record and that detail when they are read.
+    W' in [W, last], with last >= W and rate < Q * den. (The split + greedy
+    term's saturated stall is an integer over 1, so its rate is Q - q^j; the
+    static term's is (Q - q) * den.) A stride with rate >= Q * den raises
+    :class:`InvariantError`. The loop calls ``stall_term`` again only past
+    ``last``.
+
+    Inside a stride the step from W' to its next iterate is
+    ceil((r - b * (W' - W)) / (Q * den)), with r = beta * den + num - Q * den * W
+    and b = Q * den - rate > 0, so it never grows with W'. If the step at W
+    is d, it stays d for the next
+
+        k = min(ceil((r - (d - 1) * Q * den) / (b * d)), (last - W) // d + 1)
+
+    iterates W, W + d, ..., W + (k - 1) * d, and the loop jumps W by k * d
+    in O(1). Here ``last`` is clamped to the largest span the loop admits:
+    the deadline in periods, or the defensive cap beta + 1 without one. The
+    loop takes that path only when the stride holds W + d too, so an iterate
+    outside a stride, or at its end, costs one plain step. The record holds
+    an iterate as the integers (next span, stall numerator, den) and a run
+    as one entry (first next span, first stall numerator, den, span step,
+    numerator step, count). The result keeps the detail of the fixed
+    point's ``stall_term`` call and builds its trace and breakdown from the
+    record and that detail when they are read.
 
     The loop's one convergence guard rests on this contract: a term reports
     a stride exactly when it is saturated, that is when the memory demand
@@ -196,7 +213,8 @@ def _fixed_point(
     no fixed point is saturated or lies inside a stride, and a fixed point
     at W <= last raises :class:`InvariantError`. A
     :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
-    analysis as schedule exhaustion.
+    analysis as schedule exhaustion. The defensive cap bounds the span, so
+    it bounds the iterates however many a run covers.
     """
     if q_total != config.transactions_per_period:
         raise InvariantError(
@@ -208,15 +226,15 @@ def _fixed_point(
 
     span = -(-beta // q_total)
     raw = [(span, 0, 1)]
-    # A converging span is at most beta + 1 periods (q >= 1 and Q >= m), so
-    # the cap cannot fire on valid input.
-    cap = (limit if limit is not None else beta) + 2
+    # No iterate may pass top: the deadline, or else the defensive cap. A
+    # converging span is at most beta + 1 periods (q >= 1 and Q >= m), so the
+    # cap cannot fire on valid input; as every iterate but the last grows
+    # the span, it also bounds the number of iterates.
+    top = limit if limit is not None else beta + 1
     # The current stride is S = (num + rate * (W - at)) / den for W <= last;
     # spans start at 1, so last = 0 means no stride.
     rate = at = last = 0
-    for _ in range(cap):
-        if limit is not None and span > limit:
-            return AnalysisResult(AnalysisStatus.DEADLINE_MISS, span, None, tuple(raw))
+    while span <= top:
         if span <= last:
             num += rate * (span - at)
         else:
@@ -225,15 +243,36 @@ def _fixed_point(
             except ScheduleExhaustedError as exc:
                 status = AnalysisStatus.SCHEDULE_EXHAUSTED
                 return AnalysisResult(status, span, None, tuple(raw), shortfall=exc.shortfall)
-            rate, last = stride if stride is not None else (0, 0)
+            beta_den, q_den = beta * den, q_total * den
+            if stride is None:
+                rate = last = 0
+            else:
+                rate, last = stride
+                if rate >= q_den:
+                    raise InvariantError("a stride's stall must rise by less than Q per period")
+                last = min(last, top)
         at = span
-        nxt = -(-(beta * den + num) // (q_total * den))
+        nxt = -(-(beta_den + num) // q_den)
         if nxt < span:
             raise InvariantError("span iterates must be non-decreasing")
-        raw.append((nxt, num, den))
         if nxt == span:
             if span <= last:
                 raise InvariantError("a saturated stride cannot hold a fixed point")
+            raw.append((nxt, num, den))
             return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)
-        span = nxt
+        if nxt <= last:
+            # The stride holds the next iterate too: take the whole run of
+            # iterates that keep this step (see the docstring).
+            step = nxt - span
+            count = min(
+                -(-(beta_den + num - q_den * (nxt - 1)) // ((q_den - rate) * step)),
+                (last - span) // step + 1,
+            )
+            raw.append((nxt, num, den, step, rate * step, count))
+            span += count * step
+        else:
+            raw.append((nxt, num, den))
+            span = nxt
+    if limit is not None:
+        return AnalysisResult(AnalysisStatus.DEADLINE_MISS, span, None, tuple(raw))
     raise InvariantError("fixed-point iteration exceeded its defensive cap")

@@ -95,7 +95,8 @@ class ExperimentConfig:
 
     The model is the class constants (H and the period in seconds); the
     slot length, H in periods and in slots, and the regulation config follow
-    from them. MIr and U are exact: ints or Fractions, never floats.
+    from them. m is an int; MIr and U are exact: ints or Fractions, never
+    floats.
     """
 
     m: int
@@ -114,6 +115,8 @@ class ExperimentConfig:
     regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise InvariantError(f"experiment config: m must be an int, got {self.m!r}")
         for value in (self.mir, self.u):
             if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
                 raise InvariantError(f"experiment config: MIr and U must be int or Fraction, got {value!r}")

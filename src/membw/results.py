@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,27 +42,38 @@ class AnalysisResult:
     ``span`` is the converged worst-case span in periods (CONVERGED), or the
     first deadline-violating iterate (DEADLINE_MISS). ``length_slots`` =
     span * Q, only on convergence. ``shortfall`` is set only for
-    SCHEDULE_EXHAUSTED. ``raw`` holds every iterate produced as the integers
-    (span, stall numerator, stall denominator). ``detail`` is the converged
-    dynamic term's ``(splits, assignment, curves)``, or None for no
-    breakdown.
+    SCHEDULE_EXHAUSTED. ``raw`` holds the iterates produced, in order: one
+    iterate as the integers (span, stall numerator, stall denominator), a
+    run of iterates as (span, stall numerator, stall denominator, span step,
+    numerator step, count), whose iterate i, 0 <= i < count, has the span
+    span + i * span step and the stall (numerator + i * numerator step) /
+    denominator. ``detail`` is the converged dynamic term's ``(splits,
+    assignment, curves)``, or None for no breakdown.
 
-    ``trace`` and ``breakdown`` are built from ``raw`` and ``detail`` when
-    first read and cached, so callers that read only ``status`` and ``span``
-    pay for neither. Equality, hashing, ``repr`` and pickling come from the
-    fields, that is from the record, not from the built trace.
+    :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
+    built from ``raw`` and ``detail`` when first read and cached, so callers
+    that read only ``status`` and ``span`` pay for neither. Equality,
+    hashing, ``repr`` and pickling come from the fields, that is from the
+    record, not from the built trace.
     """
 
     status: AnalysisStatus
     span: int | None
     length_slots: int | None
-    raw: tuple[tuple[int, int, int], ...] = field(repr=False)
+    raw: tuple[tuple[int, ...], ...] = field(repr=False)
     detail: tuple | None = field(default=None, repr=False)
     shortfall: int | None = None
 
+    def iterates(self) -> Iterator[tuple[int, int, int]]:
+        """Every iterate in order, as (span, stall numerator, stall denominator)."""
+        for span, num, den, *run in self.raw:
+            span_step, num_step, count = run or (0, 0, 1)
+            for i in range(count):
+                yield span + i * span_step, num + i * num_step, den
+
     @cached_property
     def trace(self) -> tuple[TraceEntry, ...]:
-        return tuple(TraceEntry(k=k, span=s, stall=Fraction(n, d)) for k, (s, n, d) in enumerate(self.raw))
+        return tuple(TraceEntry(k=k, span=s, stall=Fraction(n, d)) for k, (s, n, d) in enumerate(self.iterates()))
 
     @cached_property
     def breakdown(self) -> tuple[IntervalBreakdown, ...] | None:
@@ -86,6 +98,7 @@ class AnalysisResult:
         """Cumulative stall at the fixed point."""
         if not self.converged:
             return None
+        # The fixed point's entry is a single iterate.
         _, num, den = self.raw[-1]
         return Fraction(num, den)
 
@@ -99,5 +112,5 @@ class AnalysisResult:
             doc["total_stall"] = str(self.total_stall)
         if self.shortfall is not None:
             doc["shortfall_periods"] = self.shortfall
-        doc["iterations"] = len(self.raw) - 1
+        doc["iterations"] = sum(entry[5] if len(entry) > 3 else 1 for entry in self.raw) - 1
         return doc

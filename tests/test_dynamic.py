@@ -17,12 +17,14 @@ from membw import (
     BudgetVector,
     MemorySchedule,
     RegulationConfig,
+    ScheduleExhaustedError,
     TraceEntry,
     Workload,
     analyze_dynamic,
     analyze_static,
     build_raw_points,
     curve_for_core,
+    deadline_periods,
     distribute_memory,
     oracle_distribute,
     split_span,
@@ -241,8 +243,10 @@ FAKE_CFG = RegulationConfig(period=Fraction(10), l_max=Fraction(1))
         (lambda w: (100 if w == 1 else 0, 1, None, None), "non-decreasing"),
         # W + 1 forever.
         (lambda w: (10 * w, 1, None, None), "defensive cap"),
+        # A stride whose stall rises Q per period: its step would never fall.
+        (lambda w: (10 * w, 1, None, (10, 100)), "rise by less than Q per period"),
     ],
-    ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point"],
+    ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point", "stride-rate-at-q"],
 )
 def test_fixed_point_guards(stall_term, message):
     with pytest.raises(InvariantError, match=message):
@@ -345,6 +349,130 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
         stall = stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves).total
         assert entry.stall == stall
         assert entry.span == math.ceil((workload.beta + stall) / schedule.q_total)
+
+
+# E = 1 on a core holding one of Q = 41666 transactions per period: the
+# saturated climb takes mu / Q periods per iterate at first, one at the end.
+LONG_BUDGETS = BudgetVector((1, 41665))
+LONG_CFG = RegulationConfig(period=Fraction(41666), l_max=Fraction(1))
+
+
+@pytest.mark.parametrize(
+    ("memory", "iterations", "total_stall"),
+    [(10**6, 157328, 41665000000), (10**7, 252491, 416650000000)],
+)
+def test_long_saturated_climb_is_pinned(memory, iterations, total_stall):
+    wl = Workload(execution=1, memory=memory)
+    sta = analyze_static(wl, LONG_BUDGETS, 1, LONG_CFG)
+    dyn = analyze_dynamic(wl, MemorySchedule.static(LONG_BUDGETS), 1, LONG_CFG)
+    for result in (sta, dyn):
+        assert result.span == memory + 1
+        assert result.to_json_dict()["iterations"] == iterations
+        assert result.total_stall == total_stall
+        # One record entry per run of equal steps, not per iterate.
+        assert len(result.raw) < 300
+
+
+def _one_iterate_at_a_time(wl, q_total, cfg, stall):
+    """The fixed point by its definition: S(W) evaluated at every iterate.
+
+    Returns (status, span, shortfall, trace as (span, stall) pairs)."""
+    limit = deadline_periods(wl, cfg) if wl.deadline is not None else None
+    span = -(-wl.beta // q_total)
+    trace = [(span, Fraction(0))]
+    while True:
+        if limit is not None and span > limit:
+            return AnalysisStatus.DEADLINE_MISS, span, None, trace
+        try:
+            value = stall(span)
+        except ScheduleExhaustedError as exc:
+            return AnalysisStatus.SCHEDULE_EXHAUSTED, span, exc.shortfall, trace
+        nxt = math.ceil((wl.beta + value) / q_total)
+        trace.append((nxt, value))
+        if nxt == span:
+            return AnalysisStatus.CONVERGED, span, None, trace
+        span = nxt
+
+
+def _expected_json(status, span, shortfall, trace, q_total):
+    doc = {"status": status.value, "span_periods": span}
+    if status is AnalysisStatus.CONVERGED:
+        doc["length_slots"] = span * q_total
+        doc["total_stall"] = str(trace[-1][1])
+    if shortfall is not None:
+        doc["shortfall_periods"] = shortfall
+    doc["iterations"] = len(trace) - 1
+    return doc
+
+
+def _runs(result):
+    """The record's runs: entries that stand for more than one iterate."""
+    return [entry for entry in result.raw if len(entry) == 6 and entry[5] > 1]
+
+
+def _cut_run(cut, free):
+    """True if ``cut`` ends in a run that ``free`` continues further."""
+    i, end = len(cut.raw) - 1, cut.raw[-1]
+    return len(end) == 6 and len(free.raw) > i and free.raw[i][:5] == end[:5] and free.raw[i][5] > end[5]
+
+
+def _climb_instance(rng: random.Random):
+    """A schedule whose analyzed core 1 holds few transactions per period, so
+    that saturated climbs take several periods per iterate, and a workload
+    with a deadline."""
+    m = rng.randint(2, 4)
+    first = (rng.randint(1, 3), *(rng.randint(1, 25) for _ in range(m - 1)))
+    total = sum(first)
+    n = rng.randint(1, 3)
+    vectors = [first] + [_random_composition(rng, total, m) for _ in range(n - 1)]
+    lengths = [rng.randint(1, 30) for _ in range(n)]
+    schedule = MemorySchedule(
+        intervals=tuple(BudgetInterval(budgets=BudgetVector(v), length=n_) for v, n_ in zip(vectors, lengths))
+    )
+    cfg = RegulationConfig(period=Fraction(total), l_max=Fraction(1))
+    deadline = Fraction(rng.randint(1, 120 * total))
+    wl = Workload(execution=rng.randint(1, 40), memory=rng.randint(0, 1500), deadline=deadline)
+    return schedule, cfg, wl
+
+
+def test_run_walk_matches_one_iterate_at_a_time():
+    # Each instance runs bounded and unbounded, with and without its
+    # deadline, under both analyzers; every trace and JSON answer must match
+    # a loop that evaluates S(W) afresh at every iterate.
+    rng = random.Random(1811)
+    seen = {"multi-iterate run": 0, "deadline inside a run": 0, "schedule ends inside a run": 0, "static den > 1": 0}
+    for _ in range(400):
+        bounded, cfg, deadlined = _climb_instance(rng)
+        *head, tail = bounded.intervals
+        unbounded = MemorySchedule(intervals=(*head, BudgetInterval(budgets=tail.budgets, length=None)))
+        free = Workload(execution=deadlined.execution, memory=deadlined.memory)
+        q_total = bounded.q_total
+        curves = tuple(curve_for_core(iv.budgets, 1) for iv in bounded.intervals)
+        budgets, curve = bounded.intervals[0].budgets, curves[0]
+        results = {}
+        for schedule in (bounded, unbounded):
+            for wl in (deadlined, free):
+
+                def dynamic_stall(span, schedule=schedule, wl=wl):
+                    splits = split_span(schedule, span)
+                    return stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves).total
+
+                result = results[schedule, wl] = analyze_dynamic(wl, schedule, 1, cfg)
+                expected = _one_iterate_at_a_time(wl, q_total, cfg, dynamic_stall)
+                assert [(t.span, t.stall) for t in result.trace] == expected[3]
+                assert result.to_json_dict() == _expected_json(*expected, q_total)
+        for wl in (deadlined, free):
+            sta = analyze_static(wl, budgets, 1, cfg)
+            expected = _one_iterate_at_a_time(
+                wl, q_total, cfg, lambda w: curve.stall_over(w, min(wl.memory, w * curve.q))
+            )
+            assert [(t.span, t.stall) for t in sta.trace] == expected[3]
+            assert sta.to_json_dict() == _expected_json(*expected, q_total)
+            seen["static den > 1"] += any(run[2] > 1 for run in _runs(sta))
+        seen["multi-iterate run"] += any(_runs(result) for result in results.values())
+        seen["deadline inside a run"] += _cut_run(results[unbounded, deadlined], results[unbounded, free])
+        seen["schedule ends inside a run"] += _cut_run(results[bounded, free], results[unbounded, free])
+    assert min(seen.values()) >= 10, seen
 
 
 @st.composite

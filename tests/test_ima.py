@@ -89,6 +89,13 @@ class TestExperimentConfig:
             as_fraction = ExperimentConfig(m=4, mir=Fraction(mir), u=Fraction(u))
             assert generate_partition_set(as_int, random.Random(5)) == generate_partition_set(as_fraction, random.Random(5))
 
+    def test_m_must_be_an_int(self):
+        # A float or bool m passes the range check, and a float m would
+        # fail later, inside generation, with a TypeError.
+        for m in (4.0, Fraction(4), True):
+            with pytest.raises(InvariantError, match="m must be an int"):
+                ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2))
+
 
 class TestGeneration:
     def test_shape(self):
