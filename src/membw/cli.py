@@ -3,12 +3,14 @@
 Subcommands: analyze-static, analyze-dynamic, dump-curve, oracle, experiment.
 Scenario-driven subcommands read a JSON scenario file and print JSON (plus
 optional CSV detail rows); experiment prints CSV. Validation problems exit
-with code 2 and a diagnostic naming the violated invariant.
+with code 2 and a diagnostic naming the violated invariant. The argument
+parser is built once per process and serves every :func:`main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +25,7 @@ from .static_analysis import analyze_static
 from .stall_curve import build_raw_points, curve_for_core
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="membw", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

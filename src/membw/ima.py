@@ -48,14 +48,15 @@ permutation, per-core UUniFast in core order, per-partition MI in id order.
 
 from __future__ import annotations
 
+import math
 import os
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .dynamic_analysis import analyze_dynamic
 from .errors import InvariantError
@@ -94,9 +95,9 @@ class ExperimentConfig:
     """One sweep point (m, MIr, U) of the fixed IMA model.
 
     The model is the class constants (H and the period in seconds); the
-    slot length, H in periods and in slots, and the regulation config follow
-    from them. m is an int; MIr and U are exact: ints or Fractions, never
-    floats.
+    slot length, H in periods and in slots, the regulation config and the
+    deadline of a partition started at each period of H follow from them.
+    m is an int; MIr and U are exact: ints or Fractions, never floats.
     """
 
     m: int
@@ -113,6 +114,8 @@ class ExperimentConfig:
     hyperperiod_periods: ClassVar[int] = int(hyperperiod / period)
     hyperperiod_slots: ClassVar[int] = hyperperiod_periods * q_total
     regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
+    # deadlines[start] = (H - start) * period, the time left in H from period start.
+    deadlines: ClassVar[tuple[Fraction, ...]] = tuple(map(period.__mul__, range(hyperperiod_periods, 0, -1)))
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool):
@@ -183,26 +186,38 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     return PartitionSet(partitions=tuple(partitions))
 
 
-def _largest_remainder(total: int, weights: list[Fraction]) -> list[int]:
+class Ratio(NamedTuple):
+    """An unreduced integer weight numerator / denominator, built without the
+    gcd a :class:`Fraction` takes; read like an int or a Fraction weight."""
+
+    numerator: int
+    denominator: int
+
+
+def _largest_remainder(total: int, weights: Sequence[int | Fraction | Ratio]) -> list[int]:
     """Integer shares of ``total`` in proportion to ``weights``.
 
     Each share is floored, and the units left over go one each to the
     largest fractional parts, lower index breaking ties. All-zero weights
-    fall back to even shares.
+    fall back to even shares. Over a common denominator the weights are
+    integers n_i; share i is total * n_i / sum(n), so its floor and its
+    fractional part (the remainder over sum(n)) are one divmod each.
     """
-    total_w = sum(weights)
+    common = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (common // w.denominator) for w in weights]
+    total_w = sum(scaled)
     if total_w == 0:
-        weights = [Fraction(1)] * len(weights)
+        scaled = [1] * len(weights)
         total_w = len(weights)
-    shares = [total * w / total_w for w in weights]
-    floors = [int(s) for s in shares]
-    order = sorted(range(len(shares)), key=lambda i: (-(shares[i] - floors[i]), i))
+    shares = [divmod(total * n, total_w) for n in scaled]
+    floors = [floor for floor, _ in shares]
+    order = sorted(range(len(shares)), key=lambda i: (-shares[i][1], i))
     for i in order[: total - sum(floors)]:
         floors[i] += 1
     return floors
 
 
-def split_budget_by_weights(q_total: int, weights: list[Fraction]) -> BudgetVector:
+def split_budget_by_weights(q_total: int, weights: Sequence[int | Fraction | Ratio]) -> BudgetVector:
     """Integerize a weighted split of the total budget.
 
     Every core gets a floor of 1 transaction (a zero budget would degenerate
@@ -222,14 +237,14 @@ def policy_se(config: ExperimentConfig) -> BudgetVector:
     return BudgetVector(tuple(base + (1 if i < rem else 0) for i in range(config.m)))
 
 
-def _memory_weights(m: int, unfinished: Iterable[Partition]) -> list[Fraction]:
-    """Per-core sum mu / (sum mu + sum E) over ``unfinished``; 0 if none."""
+def _memory_weights(m: int, unfinished: Iterable[Partition]) -> list[Ratio]:
+    """Per-core sum mu / (sum mu + sum E) over ``unfinished``; 0 / 1 if none."""
     memory = [0] * m
     total = [0] * m
     for p in unfinished:
         memory[p.core - 1] += p.memory
         total[p.core - 1] += p.memory + p.execution
-    return [Fraction(mu, t) if t else Fraction(0) for mu, t in zip(memory, total)]
+    return [Ratio(mu, t) if t else Ratio(0, 1) for mu, t in zip(memory, total)]
 
 
 def policy_su(pset: PartitionSet, config: ExperimentConfig) -> BudgetVector:
@@ -383,8 +398,7 @@ def _hypothesize_span(
 
 def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
     """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H."""
-    deadline = (config.hyperperiod_periods - start) * config.period
-    result = analyze_dynamic(part.workload(deadline), schedule, part.core, config.regulation)
+    result = analyze_dynamic(part.workload(config.deadlines[start]), schedule, part.core, config.regulation)
     return result.span if result.status is AnalysisStatus.CONVERGED else None
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and diagnostics."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -237,6 +238,55 @@ class TestExperiment:
         script = (tmp_path / "smoke.plt").read_text()
         assert "using 4:7" in script
         assert str(out_file) in script
+
+
+class TestParserReuse:
+    # One parser, built once per process, serves every main call.
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for command, path in (("analyze-static", STATIC), ("analyze-dynamic", DYNAMIC)):
+            assert run(capsys, command, "--scenario", path)[0] == 0
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is cli._build_parser()
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze-dynamic", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: membw analyze-dynamic")
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        run(capsys, "analyze-dynamic", "--scenario", DYNAMIC, "--trace", "--breakdown")
+        run(capsys, "analyze-static", "--scenario", STATIC, "--trace")
+        for command, path in (("analyze-dynamic", DYNAMIC), ("analyze-static", STATIC)):
+            code, out, _ = run(capsys, command, "--scenario", path)
+            assert code == 0
+            # The whole of stdout is the JSON answer: no trace or breakdown rows.
+            assert json.loads(out)["command"] == command
+
+    @pytest.mark.parametrize(
+        "rejected",
+        [["analyze-dynamic"], ["analyze-static", "--scenario", STATIC, "--breakdown"], ["dump-curve", "--interval", "x"]],
+    )
+    def test_valid_call_after_a_rejection(self, capsys, rejected):
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "analyze-dynamic", "--scenario", DYNAMIC)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["span_periods"], doc["total_stall"]) == (7, "61")
 
 
 def test_unknown_command_exits_nonzero(capsys):

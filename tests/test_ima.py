@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from membw import (
     AnalysisStatus,
@@ -24,9 +26,11 @@ from membw.ima import (
     POLICIES,
     ExperimentConfig,
     Partition,
+    Ratio,
     SweepConfig,
     SweepPoint,
     _derive_seed,
+    _largest_remainder,
     _round_half_up,
     evaluate_schedulability,
     generate_partition_set,
@@ -217,6 +221,52 @@ class TestBudgetSplitting:
         assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
 
 
+def _largest_remainder_fraction(total: int, weights: list[Fraction]) -> list[int]:
+    """The largest-remainder split computed over Fractions: the reference."""
+    total_w = sum(weights)
+    if total_w == 0:
+        weights = [Fraction(1)] * len(weights)
+        total_w = len(weights)
+    shares = [total * w / total_w for w in weights]
+    floors = [int(s) for s in shares]
+    order = sorted(range(len(shares)), key=lambda i: (-(shares[i] - floors[i]), i))
+    for i in order[: total - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
+WEIGHT = st.tuples(st.one_of(st.just(0), st.integers(0, 10**7)), st.integers(1, 10**7))
+
+
+@st.composite
+def weight_pairs(draw):
+    """1-16 unreduced (num, den) weights: any, drawn from a pool of at most
+    three (exact ties, some unreduced alike), or all zero."""
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["any", "ties", "zeros"]))
+    if kind == "zeros":
+        return [(0, draw(st.integers(1, 50))) for _ in range(n)]
+    if kind == "ties":
+        pool = draw(st.lists(WEIGHT, min_size=1, max_size=3))
+        picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=n, max_size=n))
+        return [(a * k, b * k) for (a, b), k in picks]
+    return draw(st.lists(WEIGHT, min_size=n, max_size=n))
+
+
+@given(total=st.integers(0, 41666), pairs=weight_pairs())
+@settings(max_examples=400, deadline=None)
+@example(total=4, pairs=[(0, 1), (0, 7), (0, 3)])
+@example(total=7, pairs=[(1, 3), (2, 6), (1, 3), (3, 9)])
+@example(total=41662, pairs=[(1, 2), (0, 1), (5, 10), (1, 1)])
+def test_largest_remainder_matches_the_fraction_form(total, pairs):
+    # Same floors and the same remainder order, lower index breaking ties,
+    # whether the weights come as unreduced integer ratios or as Fractions.
+    expected = _largest_remainder_fraction(total, [Fraction(a, b) for a, b in pairs])
+    assert sum(expected) == total
+    assert _largest_remainder(total, [Ratio(a, b) for a, b in pairs]) == expected
+    assert _largest_remainder(total, [Fraction(a, b) for a, b in pairs]) == expected
+
+
 class TestDynamicPolicy:
     def test_initial_vector_matches_su(self):
         pset = _set(3)
@@ -383,6 +433,11 @@ class TestEvaluation:
         for start in range(horizon):
             workload = Workload(execution=1, memory=0, deadline=(horizon - start) * CFG.period)
             assert deadline_periods(workload, CFG.regulation) == horizon - start
+
+    def test_deadline_table(self):
+        # The analyses index the deadline by start period instead of building it.
+        horizon = CFG.hyperperiod_periods
+        assert CFG.deadlines == tuple((horizon - start) * CFG.period for start in range(horizon))
 
 
 def _counting(init, built: list):
