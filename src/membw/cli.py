@@ -138,7 +138,7 @@ def _cmd_oracle(args) -> int:
     result = analyze_dynamic(workload, scenario.schedule, core, scenario.config)
     doc = {"command": "oracle", "core": core, "analysis": result.to_json_dict()}
     if result.converged:
-        # The converged analysis's own split, greedy assignment and curves.
+        # The converged analysis's own split and greedy assignment, and the curves of the reached intervals.
         splits, greedy, curves = result.detail
         # Raw points take O(q) each, so refuse an over-guard enumeration first.
         _check_assignment_space([w * curve.q for w, curve in zip(splits, curves)])

@@ -9,8 +9,15 @@ the memory demand mu distributed over the intervals so that the summed stall
 is maximized subject to mu^j <= W^j * q^j and sum mu^j <= mu. Because every
 per-interval curve is concave, a marginal-slope greedy is exact: always feed
 the interval whose curve is steepest at its current rate, jumping rates from
-segment start point to segment start point. The greedy sums S as it places
-the memory and returns it with the assignment.
+segment start point to segment start point. The greedy keeps the intervals'
+next segments in a heap, so a span reaching n intervals with S segments in
+all costs O(S log n). It sums S as it places the memory and returns it with
+the assignment.
+
+The split's nonzero parts are a prefix of the schedule, and spans only grow,
+so the analysis builds an interval's curve when a span first reaches it; an
+interval no iterate reaches costs nothing. Its breakdown row reads W = 0,
+mu = 0, S = 0 all the same.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
 that both analyzers run. They differ only in the stall term S(W) they pass
@@ -39,6 +46,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .results import AnalysisResult, AnalysisStatus
@@ -78,14 +86,24 @@ class StallBreakdown:
 def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallCurve, ...]) -> MemoryAssignment:
     """Stall-maximizing integral split of ``memory`` over the intervals.
 
-    Greedy on marginal stall slopes: each interval keeps a pointer to its
-    next curve segment, and each pass fills the whole piece (width * W^j
-    transactions) of the steepest one, comparing integer rises over widths
-    by cross-multiplication; ties go to the lowest interval index, so results
-    are reproducible. The stall is summed on the way: rise * W^j per whole
-    piece, plus rise * left / width for the piece the memory runs out in.
-    Each pass returns or advances one pointer, so the loop ends within
-    intervals * segments passes.
+    Greedy on marginal stall slopes: always fill the whole piece (width * W^j
+    transactions) of the steepest segment at the head of some reached
+    interval, ties going to the lowest interval index, so results are
+    reproducible. The stall is summed on the way: rise * W^j per whole piece,
+    plus rise * left / width for the piece the memory runs out in.
+
+    The heads sit in a heap keyed by (-floor(rise * K / width), j, k), with
+    K = q_max^2 for the largest q among the reached intervals' curves. The
+    key orders slopes exactly: a segment's width is at most its curve's
+    q <= q_max, so two distinct slopes a/w and b/v differ by at least
+    1/(w * v) >= 1/K, their scaled values by at least 1, and so their floors
+    differ; equal slopes get equal keys and fall to the index j. Each
+    interval's slopes strictly decrease, so the heap is an exact merge of
+    per-interval lists, and it places pieces in the order a scan for the
+    steepest head would. Each piece costs one heap operation: O(S log n)
+    for S segments in the n reached intervals, where a scan of every head
+    per piece costs O(n * S). A lone head is compared with nothing, so it
+    is keyed 0 and its list is walked as is.
     """
     n = len(splits)
     if len(curves) != n:
@@ -97,35 +115,49 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
             raise InvariantError("distribute_memory: splits must be >= 0")
 
     assign = [0] * n
-    # An interval the span does not reach has no piece to fill.
-    pointers = [0 if w else len(c.segments) for w, c in zip(splits, curves)]
+    # An interval the span does not reach has no piece to fill, so only the
+    # reached ones have a head. A lone head keeps the key 0.
+    heap = [(0, j, 0) for j, w in enumerate(splits) if w]
+    if len(heap) > 1:
+        scale = max([curves[j].q for _, j, _ in heap]) ** 2
+        for i, (_, j, _) in enumerate(heap):
+            seg = curves[j].segments[0]
+            heap[i] = (-(seg.rise * scale // seg.width), j, 0)
+        heapify(heap)
     left, num = memory, 0
     while left:
-        best, best_seg = -1, None
-        for j in range(n):
-            segs = curves[j].segments
-            if pointers[j] < len(segs):
-                seg = segs[pointers[j]]
-                if best < 0 or seg.rise * best_seg.width > best_seg.rise * seg.width:
-                    best, best_seg = j, seg
-        if best < 0:
-            return MemoryAssignment(per_interval=tuple(assign), saturated=True, stall=(num, 1))
-        piece = best_seg.width * splits[best]
+        if not heap:
+            return MemoryAssignment(tuple(assign), True, (num, 1))
+        _, j, k = heap[0]
+        segs = curves[j].segments
+        seg = segs[k]
+        w = splits[j]
+        piece = seg.width * w
         if left < piece:
-            assign[best] += left
-            stall = (num * best_seg.width + best_seg.rise * left, best_seg.width)
-            return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=stall)
-        assign[best] += piece
-        num += best_seg.rise * splits[best]
-        pointers[best] += 1
+            assign[j] += left
+            return MemoryAssignment(tuple(assign), False, (num * seg.width + seg.rise * left, seg.width))
+        assign[j] += piece
+        num += seg.rise * w
         left -= piece
-    return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=(num, 1))
+        k += 1
+        if k == len(segs):
+            heappop(heap)
+        elif len(heap) == 1:
+            heap[0] = (0, j, k)
+        else:
+            seg = segs[k]
+            heapreplace(heap, (-(seg.rise * scale // seg.width), j, k))
+    return MemoryAssignment(tuple(assign), False, (num, 1))
 
 
 def stall_breakdown(
     splits: tuple[int, ...], assignment: MemoryAssignment, curves: tuple[StallCurve, ...]
 ) -> StallBreakdown:
-    """Evaluate S^j = I^j(mu^j / W^j) * W^j per interval, exactly."""
+    """Evaluate S^j = I^j(mu^j / W^j) * W^j per interval, exactly.
+
+    Only intervals with W^j > 0 read their curve, so ``curves`` may stop at
+    the last interval the span reaches; the rest have S^j = 0.
+    """
     stalls = tuple(
         curves[j].stall_over(splits[j], assignment.per_interval[j]) if splits[j] > 0 else Fraction(0)
         for j in range(len(splits))
@@ -142,11 +174,24 @@ def analyze_dynamic(
     iterate no longer fits the deadline) or schedule exhaustion (an iterate
     outgrew a fully bounded schedule; the result carries the shortfall).
     """
-    curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
+    intervals = schedule.intervals
+    n = len(intervals)
+    memory = workload.memory
+    # The curves of the intervals reached so far: spans only grow, and the
+    # intervals a span reaches are a prefix of the schedule.
+    curves: tuple[StallCurve, ...] = ()
 
     def stall_term(span: int) -> tuple[int, int, tuple, tuple[int, int] | None]:
+        nonlocal curves
         splits = split_span(schedule, span)
-        assignment = distribute_memory(splits, workload.memory, curves)
+        reached = n - splits.count(0)
+        if reached > len(curves):
+            curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : reached])
+        if reached == n:
+            assignment = distribute_memory(splits, memory, curves)
+        else:
+            part = distribute_memory(splits[:reached], memory, curves[:reached])
+            assignment = MemoryAssignment(part.per_interval + (0,) * (n - reached), part.saturated, part.stall)
         stride = None
         if assignment.saturated:
             # Every interval is at capacity, so S is the integer sum of
@@ -154,12 +199,10 @@ def analyze_dynamic(
             # j, the last interval it reaches: S rises by Q - q^j per period
             # until j ends or the unplaced memory mu - sum(caps) no longer
             # covers q^j more.
-            j = len(splits) - 1
-            while not splits[j]:
-                j -= 1
+            j = reached - 1
             q = curves[j].q
-            last = span + (workload.memory - assignment.total) // q
-            length = schedule.intervals[j].length
+            last = span + (memory - assignment.total) // q
+            length = intervals[j].length
             if length is not None:
                 last = min(last, span + length - splits[j])
             stride = (schedule.q_total - q, last)

@@ -268,7 +268,11 @@ def parse_scenario(text: str) -> Scenario:
             raw_budgets = entry["budgets"]
             if not isinstance(raw_budgets, list):
                 raise ScenarioError(f"scenario: schedule[{pos}].budgets must be an array")
-            budgets = BudgetVector(tuple(_as_int(b, f"schedule[{pos}].budgets[{i}]") for i, b in enumerate(raw_budgets)))
+            # JSON integers are exact ints: a budget's label is formatted only if it is rejected.
+            for i, b in enumerate(raw_budgets):
+                if type(b) is not int:
+                    _as_int(b, f"schedule[{pos}].budgets[{i}]")
+            budgets = BudgetVector(tuple(raw_budgets))
             length = entry["length"]
             if length == "unbounded":
                 intervals.append(BudgetInterval(budgets=budgets, length=None))
@@ -279,14 +283,16 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(doc["workloads"], list) or not doc["workloads"]:
             raise ScenarioError("scenario: workloads must be a non-empty array")
         workloads = []
+        cores = set()
         for pos, entry in enumerate(doc["workloads"]):
             if not isinstance(entry, dict) or not {"core", "E", "mu"} <= set(entry):
                 raise ScenarioError(f"scenario: workloads[{pos}] must have core, E and mu")
             core = _as_int(entry["core"], f"workloads[{pos}].core")
             if not 1 <= core <= schedule.m:
                 raise ScenarioError(f"scenario: workloads[{pos}].core {core} outside [1..{schedule.m}]")
-            if any(w.core == core for w in workloads):
+            if core in cores:
                 raise ScenarioError(f"scenario: workloads[{pos}]: duplicate core {core}")
+            cores.add(core)
             workloads.append(
                 ScenarioWorkload(
                     core=core,

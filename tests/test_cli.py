@@ -159,6 +159,44 @@ class TestOracle:
         assert doc["greedy_objective"] == doc["oracle_objective"] == "61"
 
 
+# The dynamic worked example with three more intervals, which its 7-period
+# span never reaches.
+UNREACHED = {
+    "config": {"P": 16, "L_max": 1},
+    "schedule": [
+        {"budgets": [2, 2, 5, 7], "length": 5},
+        {"budgets": [2, 3, 7, 4], "length": 3},
+        {"budgets": [4, 4, 4, 4], "length": 4},
+        {"budgets": [2, 2, 5, 7], "length": 4},
+        {"budgets": [2, 3, 7, 4], "length": "unbounded"},
+    ],
+    "workloads": [{"core": 3, "E": 15, "mu": 25}],
+}
+UNREACHED_ANALYSIS = {"status": "converged", "span_periods": 7, "length_slots": 112, "total_stall": "61", "iterations": 4}
+
+
+def test_unreached_intervals_print_zero_rows(capsys, tmp_path):
+    path = _write(tmp_path, json.dumps(UNREACHED).encode())
+    code, out, _ = run(capsys, "analyze-dynamic", "--scenario", path, "--breakdown")
+    assert code == 0
+    doc = json.dumps({"command": "analyze-dynamic", "core": 3, **UNREACHED_ANALYSIS}, indent=2)
+    assert out == doc + "\ninterval,W,mu,S\n1,5,19,45\n2,2,6,16\n3,0,0,0\n4,0,0,0\n5,0,0,0\n"
+
+    code, out, _ = run(capsys, "oracle", "--scenario", path)
+    assert code == 0
+    doc = {
+        "command": "oracle",
+        "core": 3,
+        "analysis": UNREACHED_ANALYSIS,
+        "greedy_objective": "61",
+        "oracle_objective": "61",
+        "oracle_assignment": [19, 6, 0, 0, 0],
+        "greedy_assignment": [19, 6, 0, 0, 0],
+        "objectives_match": True,
+    }
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_oracle_refuses_over_guard_before_building_raw_points(capsys, tmp_path, monkeypatch):
     # Core 2's budget would need 10^8 raw stall points; analyze-dynamic
     # answers the same file at once from the hull vertices alone.

@@ -8,16 +8,19 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from membw import (
     AnalysisStatus,
     BudgetInterval,
     BudgetVector,
+    MemoryAssignment,
     MemorySchedule,
     RegulationConfig,
     ScheduleExhaustedError,
+    Segment,
+    StallCurve,
     TraceEntry,
     Workload,
     analyze_dynamic,
@@ -96,6 +99,134 @@ class TestDistributeMemory:
         placed = {mu: distribute_memory((2, 2), mu, (curve, curve)).per_interval for mu in range(21)}
         assert [placed[mu] for mu in (3, 4, 5, 9, 15, 20)] == [(3, 0), (4, 0), (4, 1), (5, 4), (10, 5), (10, 10)]
         assert all(first >= second for first, second in placed.values())
+
+
+def _scan_distribute(splits, memory, curves):
+    """The greedy as a pass-by-pass scan: each pass looks at the head segment
+    of every interval and fills the steepest one, lowest index on ties."""
+    n = len(splits)
+    assign = [0] * n
+    pointers = [0 if w else len(c.segments) for w, c in zip(splits, curves)]
+    left, num = memory, 0
+    while left:
+        best, best_seg = -1, None
+        for j in range(n):
+            segs = curves[j].segments
+            if pointers[j] < len(segs):
+                seg = segs[pointers[j]]
+                if best < 0 or seg.rise * best_seg.width > best_seg.rise * seg.width:
+                    best, best_seg = j, seg
+        if best < 0:
+            return MemoryAssignment(per_interval=tuple(assign), saturated=True, stall=(num, 1))
+        piece = best_seg.width * splits[best]
+        if left < piece:
+            assign[best] += left
+            stall = (num * best_seg.width + best_seg.rise * left, best_seg.width)
+            return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=stall)
+        assign[best] += piece
+        num += best_seg.rise * splits[best]
+        pointers[best] += 1
+        left -= piece
+    return MemoryAssignment(per_interval=tuple(assign), saturated=False, stall=(num, 1))
+
+
+Q_BENCH = 41666
+
+
+@st.composite
+def hand_built_curves(draw, near=None):
+    """A concave curve over [0, q], q <= 41666, from its segment table.
+
+    Rises may be zero or negative. With a step of 0 the next slope is the
+    largest one below the last. With ``near`` (a segment) the first slope is
+    the largest one at or below ``near``'s for this width, or the next one
+    up. So slopes come as close as integer widths allow, within one curve
+    and across curves, where the greedy's order rests on them."""
+    if near is None:
+        q = draw(st.integers(1, Q_BENCH))
+    else:
+        q = draw(st.integers(max(1, near.width - 3), min(Q_BENCH, near.width + 3)) | st.integers(1, Q_BENCH))
+    cuts = sorted(draw(st.sets(st.integers(1, q - 1), max_size=min(q - 1, draw(st.integers(0, 5)))))) if q > 1 else []
+    edges = [0, *cuts, q]
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    if near is None:
+        rise = draw(st.integers(-3, 3) | st.integers(-(10**6), 10**6))
+    else:
+        rise = near.rise * widths[0] // near.width + draw(st.integers(0, 1))
+    segments, start, value = [], 0, 0
+    for i, width in enumerate(widths):
+        if i:
+            # The largest rise whose slope is below the previous one, less a step.
+            rise = -(-rise * width // widths[i - 1]) - 1 - draw(st.integers(0, 3) | st.integers(0, 10**6))
+        segments.append(Segment(start=start, value=value, rise=rise, width=width))
+        start, value = start + width, value + rise
+    return StallCurve(core=1, q=q, segments=tuple(segments))
+
+
+@st.composite
+def budget_curves(draw):
+    m = draw(st.integers(2, 16))
+    budgets = BudgetVector(tuple(draw(st.integers(1, 3000)) for _ in range(m)))
+    return curve_for_core(budgets, draw(st.integers(1, m)))
+
+
+@st.composite
+def greedy_instances(draw):
+    # A few curves shared by up to 40 intervals, so equal slopes meet across
+    # intervals; zero splits fall anywhere, not only in a suffix.
+    base = draw(hand_built_curves() | budget_curves())
+    twins = draw(st.lists(hand_built_curves(near=base.segments[0]), max_size=2))
+    pool = [base, *twins, *draw(st.lists(hand_built_curves() | budget_curves(), max_size=2))]
+    n = draw(st.integers(1, 40))
+    curves = tuple(draw(st.sampled_from(pool)) for _ in range(n))
+    splits = tuple(draw(st.integers(0, 3) | st.integers(0, 60)) for _ in range(n))
+    capacity = sum(w * c.q for w, c in zip(splits, curves))
+    memory = draw(
+        st.sampled_from((0, capacity, capacity + 1))
+        | st.integers(0, capacity + 5)
+        | st.integers(max(0, capacity - 5), capacity + 5)
+    )
+    return splits, memory, curves
+
+
+@given(greedy_instances())
+@settings(max_examples=600, deadline=None)
+# Nothing reached, memory 0, exact capacity (14) and saturation.
+@example(((0, 0, 0), 0, CURVES3))
+@example(((0, 0, 0), 1, CURVES3))
+@example(((0, 2, 0), 0, CURVES3))
+@example(((0, 2, 0), 14, CURVES3))
+@example(((0, 2, 0), 15, CURVES3))
+@example(((3, 0, 2), 200, CURVES3))
+def test_heap_greedy_matches_the_pass_scan(inst):
+    # The whole assignment: every per-interval count, the saturated flag and
+    # the stall as the same unreduced numerator and denominator.
+    splits, memory, curves = inst
+    got = distribute_memory(splits, memory, curves)
+    assert got == _scan_distribute(splits, memory, curves)
+    assert got.stall[1] >= 1
+
+
+def _one_segment(rise: int, width: int) -> StallCurve:
+    return StallCurve(core=1, q=width, segments=(Segment(start=0, value=0, rise=rise, width=width),))
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [
+        # Neighbouring slopes at the widest widths, 1 / (41666 * 41665) apart.
+        ((41664, 41665), (41665, 41666)),
+        ((1, 41666), (1, 41665)),
+        ((-1, 41665), (-1, 41666)),
+        ((0, 41666), (1, 41666)),
+        # Equal slopes, unreduced alike and not.
+        ((20832, 41664), (1, 2)),
+    ],
+)
+def test_heap_greedy_orders_the_closest_slopes(first, second):
+    curves = (_one_segment(*first), _one_segment(*second), _one_segment(*first))
+    for memory in (1, first[1], first[1] + 1, second[1] + 1):
+        assert distribute_memory((1, 1, 1), memory, curves) == _scan_distribute((1, 1, 1), memory, curves)
 
 
 @st.composite
@@ -665,3 +796,59 @@ def test_answer_digest_is_pinned():
         digest.update(_answer(analyze_dynamic(wl, schedule, core, cfg)).encode())
         digest.update(_answer(analyze_static(wl, schedule.intervals[0].budgets, core, cfg)).encode())
     assert digest.hexdigest() == "5f05fd066b0df01e2e3f0abc4ddf2d2498d0f68822650ceaaa1b84713819f57a"
+
+
+def _long_schedule(rng: random.Random, n: int, m: int = 16):
+    """An n-interval schedule over m cores with Q = 41666 and lengths 1-6
+    (the last open), and a core and workload whose span passes its end."""
+    lengths = [rng.randint(1, 6) for _ in range(n - 1)] + [None]
+    schedule = MemorySchedule(
+        intervals=tuple(
+            BudgetInterval(budgets=BudgetVector(_random_composition(rng, Q_BENCH, m)), length=length)
+            for length in lengths
+        )
+    )
+    beta = sum(lengths[:-1]) * Q_BENCH // 2
+    return schedule, rng.randint(1, m), Workload(execution=beta - beta // 5, memory=beta // 5)
+
+
+def test_long_schedule_is_pinned():
+    # 512 intervals at m = 16: every iterate's split reaches all of them, so
+    # each greedy call merges thousands of segments.
+    schedule, core, workload = _long_schedule(random.Random(512), 512)
+    result = analyze_dynamic(workload, schedule, core, RegulationConfig(period=Fraction(Q_BENCH), l_max=Fraction(1)))
+    doc = result.to_json_dict()
+    assert (doc["status"], doc["span_periods"], doc["total_stall"], doc["iterations"]) == (
+        "converged", 6686, "570701812182/2363", 18
+    )
+    # The rows as --breakdown prints them.
+    rows = "".join(f"{b.interval},{b.span},{b.memory},{b.stall}\n" for b in result.breakdown)
+    assert hashlib.sha256(rows.encode()).hexdigest() == "a85d3cc4b8050dabe40d3179316686ccc7fbf66b31350466df3f08885ebf9ad2"
+
+
+def test_curves_are_built_only_for_reached_intervals(monkeypatch):
+    # The span converges at 7 periods, inside the first two intervals, so
+    # the last three are never reached: no curve is built for them, and
+    # their breakdown rows are W = 0, mu = 0, S = 0.
+    built = []
+
+    def counting(budgets, core):
+        built.append(budgets)
+        return curve_for_core(budgets, core)
+
+    monkeypatch.setattr(dynamic_analysis, "curve_for_core", counting)
+    schedule = MemorySchedule(
+        intervals=(
+            BudgetInterval(budgets=VECTORS[0], length=5),
+            BudgetInterval(budgets=VECTORS[1], length=3),
+            BudgetInterval(budgets=VECTORS[2], length=4),
+            BudgetInterval(budgets=VECTORS[0], length=4),
+            BudgetInterval(budgets=VECTORS[1], length=None),
+        )
+    )
+    result = analyze_dynamic(Workload(execution=15, memory=25), schedule, 3, CFG16)
+    assert (result.status, result.span, result.total_stall) == (AnalysisStatus.CONVERGED, 7, 61)
+    assert built == [VECTORS[0], VECTORS[1]]
+    assert [(b.span, b.memory, b.stall) for b in result.breakdown] == [
+        (5, 19, 45), (2, 6, 16), (0, 0, 0), (0, 0, 0), (0, 0, 0)
+    ]

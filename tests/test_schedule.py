@@ -220,6 +220,32 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        ("schedule", "workloads", "message"),
+        [
+            (
+                [{"budgets": [8, 8], "length": "unbounded"}],
+                [{"core": 1, "E": 1, "mu": 0}, {"core": 2, "E": 1, "mu": 0}, {"core": 1, "E": 2, "mu": 0}],
+                "scenario: workloads[2]: duplicate core 1",
+            ),
+            ([{"budgets": [8, True, 1.5], "length": "unbounded"}], None, "scenario: schedule[0].budgets[1] must be an integer, got True"),
+            (
+                [{"budgets": [8, 8], "length": 2}, {"budgets": [4, 4, "x"], "length": "unbounded"}],
+                None,
+                "scenario: schedule[1].budgets[2] must be an integer, got 'x'",
+            ),
+            ([{"budgets": [16, None], "length": "unbounded"}], None, "scenario: schedule[0].budgets[1] must be an integer, got None"),
+            ([{"budgets": [8, 0], "length": "unbounded"}], None, "scenario: budget vector: every budget must be an integer >= 1, got q_2 = 0"),
+            ([{"budgets": [], "length": "unbounded"}], None, "scenario: budget vector: at least one core required"),
+        ],
+    )
+    def test_rejection_messages(self, schedule, workloads, message):
+        # The first bad budget or repeated core is the one named.
+        doc = {"config": {"P": 16, "L_max": 1}, "schedule": schedule, "workloads": workloads or [{"core": 1, "E": 1, "mu": 0}]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == message
+
     def test_rejects_invalid_json(self):
         with pytest.raises(ScenarioError):
             parse_scenario("{not json")
