@@ -5,7 +5,7 @@ Public surface: stall curves (:mod:`membw.stall_curve`), the schedule model
 (:mod:`membw.oracles`), and the IMA experiment harness (:mod:`membw.ima`).
 """
 
-from .dynamic_analysis import MemoryAssignment, StallBreakdown, analyze_dynamic, distribute_memory, stall_breakdown
+from .dynamic_analysis import MemoryAssignment, analyze_dynamic, distribute_memory, stall_breakdown
 from .errors import (
     InvariantError,
     MembwError,
@@ -56,7 +56,6 @@ __all__ = [
     "ScenarioError",
     "ScheduleExhaustedError",
     "Segment",
-    "StallBreakdown",
     "StallCurve",
     "TraceEntry",
     "Workload",

@@ -140,9 +140,9 @@ def _cmd_oracle(args) -> int:
     if result.converged:
         # The converged analysis's own split and greedy assignment, and the curves of the reached intervals.
         splits, greedy, curves = result.detail
-        # Raw points take O(q) each, so refuse an over-guard enumeration first.
+        # Raw points take O(q) each: refuse an over-guard enumeration first, and build only the reached ones.
         _check_assignment_space([w * curve.q for w, curve in zip(splits, curves)])
-        raws = tuple(build_raw_points(iv.budgets, core) for iv in scenario.schedule.intervals)
+        raws = tuple(build_raw_points(iv.budgets, core) for iv in scenario.schedule.intervals[: len(curves)])
         greedy_value = result.total_stall
         oracle_value, oracle_assign = oracle_distribute(splits, workload.memory, raws)
         doc["greedy_objective"] = str(greedy_value)

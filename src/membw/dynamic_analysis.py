@@ -15,9 +15,9 @@ all costs O(S log n). It sums S as it places the memory and returns it with
 the assignment.
 
 The split's nonzero parts are a prefix of the schedule, and spans only grow,
-so the analysis builds an interval's curve when a span first reaches it; an
-interval no iterate reaches costs nothing. Its breakdown row reads W = 0,
-mu = 0, S = 0 all the same.
+so an interval's curve is built when a span first reaches it, and the greedy
+and the breakdown take curves for that reached prefix only. An unreached
+interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
 that both analyzers run. They differ only in the stall term S(W) they pass
@@ -75,14 +75,6 @@ class MemoryAssignment:
         return sum(self.per_interval)
 
 
-@dataclass(frozen=True, slots=True)
-class StallBreakdown:
-    """Per-interval stalls S^j and their sum."""
-
-    per_interval: tuple[Fraction, ...]
-    total: Fraction
-
-
 def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallCurve, ...]) -> MemoryAssignment:
     """Stall-maximizing integral split of ``memory`` over the intervals.
 
@@ -104,10 +96,14 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     for S segments in the n reached intervals, where a scan of every head
     per piece costs O(n * S). A lone head is compared with nothing, so it
     is keyed 0 and its list is walked as is.
+
+    ``curves`` covers the reached prefix: it may stop after the last nonzero
+    split. A nonzero split without a curve, or more curves than splits,
+    raises :class:`InvariantError`.
     """
     n = len(splits)
-    if len(curves) != n:
-        raise InvariantError(f"distribute_memory: {n} splits but {len(curves)} curves")
+    if len(curves) != n and (len(curves) > n or any(splits[len(curves) :])):
+        raise InvariantError(f"distribute_memory: {len(curves)} curves do not cover the reached prefix of {n} splits")
     if memory < 0:
         raise InvariantError("distribute_memory: memory must be >= 0")
     for w in splits:
@@ -152,17 +148,16 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
 
 def stall_breakdown(
     splits: tuple[int, ...], assignment: MemoryAssignment, curves: tuple[StallCurve, ...]
-) -> StallBreakdown:
-    """Evaluate S^j = I^j(mu^j / W^j) * W^j per interval, exactly.
+) -> tuple[Fraction, ...]:
+    """The stalls S^j = I^j(mu^j / W^j) * W^j, one per interval, exactly.
 
-    Only intervals with W^j > 0 read their curve, so ``curves`` may stop at
-    the last interval the span reaches; the rest have S^j = 0.
+    ``curves`` covers the reached prefix, as for :func:`distribute_memory`:
+    only intervals with W^j > 0 read their curve, the rest have S^j = 0.
     """
-    stalls = tuple(
+    return tuple(
         curves[j].stall_over(splits[j], assignment.per_interval[j]) if splits[j] > 0 else Fraction(0)
         for j in range(len(splits))
     )
-    return StallBreakdown(per_interval=stalls, total=sum(stalls, Fraction(0)))
 
 
 def analyze_dynamic(
@@ -187,11 +182,7 @@ def analyze_dynamic(
         reached = n - splits.count(0)
         if reached > len(curves):
             curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : reached])
-        if reached == n:
-            assignment = distribute_memory(splits, memory, curves)
-        else:
-            part = distribute_memory(splits[:reached], memory, curves[:reached])
-            assignment = MemoryAssignment(part.per_interval + (0,) * (n - reached), part.saturated, part.stall)
+        assignment = distribute_memory(splits, memory, curves)
         stride = None
         if assignment.saturated:
             # Every interval is at capacity, so S is the integer sum of

@@ -19,9 +19,10 @@ Policies:
   partitions have all finished drop to the 1-transaction floor, and the
   budget so freed is redistributed over the still-active cores in
   proportion to weights recomputed from the unfinished partitions'
-  demands. An active core never holds less than its initial share, so the
-  per-core stall bound can only improve on SU's. The interval boundaries
-  of the resulting memory schedule are the completion events. Completions
+  demands. An active core never holds less than its initial share; whether
+  that keeps its stall bound within SU's is open (ROADMAP, open item 3).
+  The interval boundaries of the resulting memory schedule are the
+  completion events. Completions
   are hypothesized by analyzing each running partition against the
   schedule built so far plus the current vector extended indefinitely; the
   earliest hypothesis is the next event. Same-period completions collapse

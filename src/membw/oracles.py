@@ -64,29 +64,26 @@ def oracle_distribute(
     """Exhaustive optimum of the per-interval distribution objective.
 
     Maximizes sum_j envelope_j(mu^j / W^j) * W^j over integer assignments
-    with mu^j <= W^j * q^j and sum mu^j <= memory. Returns (objective,
+    with mu^j <= W^j * q^j and sum mu^j <= memory. ``raws`` covers the
+    reached prefix, as the greedy's ``curves`` do. Returns (objective,
     assignment); the first maximizer in lexicographic enumeration order wins,
     matching the greedy's lowest-index tie-breaking.
     """
-    if len(splits) != len(raws):
-        raise InvariantError(f"oracle_distribute: {len(splits)} splits but {len(raws)} curves")
+    n = len(splits)
+    if len(raws) != n and (len(raws) > n or any(splits[len(raws) :])):
+        raise InvariantError(f"oracle_distribute: {len(raws)} raw curves do not cover the reached prefix of {n} splits")
     caps = [w * raw.q for w, raw in zip(splits, raws)]
     _check_assignment_space(caps)
     curves = [concave_envelope(raw) for raw in raws]
+    tables = [[c.stall_over(w, x) for x in range(min(cap, memory) + 1)] for w, c, cap in zip(splits, curves, caps)]
 
-    tables = []
-    for j, cap in enumerate(caps):
-        limit = min(cap, memory)
-        tables.append([curves[j].stall_over(splits[j], x) for x in range(limit + 1)])
-
-    n = len(splits)
     best_value = Fraction(-1)
     best_assign: tuple[int, ...] = ()
-    assign = [0] * n
+    assign = [0] * n  # past the prefix W^j = 0, so mu^j stays 0
 
     def rec(j: int, left: int, value: Fraction) -> None:
         nonlocal best_value, best_assign
-        if j == n:
+        if j == len(tables):
             if value > best_value:
                 best_value = value
                 best_assign = tuple(assign)

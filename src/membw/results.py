@@ -48,7 +48,7 @@ class AnalysisResult:
     numerator step, count), whose iterate i, 0 <= i < count, has the span
     span + i * span step and the stall (numerator + i * numerator step) /
     denominator. ``detail`` is the converged dynamic term's ``(splits,
-    assignment, curves)``, or None for no breakdown.
+    assignment, curves)``, curves for the reached prefix only, or None.
 
     :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
     built from ``raw`` and ``detail`` when first read and cached, so callers
@@ -83,7 +83,7 @@ class AnalysisResult:
         from .dynamic_analysis import stall_breakdown
 
         splits, assignment, curves = self.detail
-        stalls = stall_breakdown(splits, assignment, curves).per_interval
+        stalls = stall_breakdown(splits, assignment, curves)
         return tuple(
             IntervalBreakdown(interval=j + 1, span=splits[j], memory=assignment.per_interval[j], stall=stalls[j])
             for j in range(len(splits))

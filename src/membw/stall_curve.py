@@ -20,14 +20,12 @@ integer rises over integer widths and evaluates it exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvariantError
-
-Rational = int | Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +133,6 @@ class StallCurve:
     core: int
     q: int
     segments: tuple[Segment, ...]
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segs = self.segments
@@ -159,17 +156,17 @@ class StallCurve:
             pos += s.width
         if pos != self.q:
             raise InvariantError(f"stall curve: segments cover [0, {pos}] but domain is [0, {self.q}]")
-        object.__setattr__(self, "_starts", tuple(s.start for s in segs))
 
-    def _check_domain(self, r: Rational) -> None:
+    def value_at(self, r: int | Fraction) -> Fraction:
+        """Evaluate the envelope at rate ``r`` (transactions per period), exactly.
+
+        Only tests call this: it is their ``Fraction`` reference for
+        :meth:`stall_ratio`'s integer segment search.
+        """
         if r < 0 or r > self.q:
             raise InvariantError(f"rate {r} outside curve domain [0, {self.q}]")
-
-    def value_at(self, r: Rational) -> Fraction:
-        """Evaluate the envelope at rate ``r`` (transactions per period), exactly."""
-        self._check_domain(r)
-        seg = self.segments[bisect_right(self._starts, r) - 1]
-        return Fraction(seg.value) + seg.slope * (r - seg.start)
+        seg = self.segments[bisect_right(self.segments, r, key=lambda s: s.start) - 1]
+        return seg.value + seg.slope * (r - seg.start)
 
     def stall_over(self, span: int, memory: int) -> Fraction:
         """Exact span-cumulative stall: value_at(memory / span) * span.
@@ -205,7 +202,7 @@ class StallCurve:
         return {
             "core": self.core,
             "q": self.q,
-            "start_points": list(self._starts),
+            "start_points": [s.start for s in self.segments],
             "segments": [
                 {"start": s.start, "value": s.value, "slope": str(s.slope), "width": s.width}
                 for s in self.segments

@@ -115,7 +115,7 @@ def test_criterion_4_greedy_matches_enumeration():
         capacity = sum(w * c.q for w, c in zip(splits, curves))
         memory = rng.randint(0, capacity)
         assignment = distribute_memory(splits, memory, tuple(curves))
-        greedy_value = stall_breakdown(splits, assignment, tuple(curves)).total
+        greedy_value = sum(stall_breakdown(splits, assignment, tuple(curves)))
         oracle_value, _ = oracle_distribute(splits, memory, tuple(raws))
         assert greedy_value == oracle_value, (splits, memory, greedy_value, oracle_value)
     elapsed = time.perf_counter() - t0

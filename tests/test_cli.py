@@ -197,6 +197,22 @@ def test_unreached_intervals_print_zero_rows(capsys, tmp_path):
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
+def test_oracle_builds_raw_points_only_for_reached_intervals(capsys, tmp_path, monkeypatch):
+    # The span of 7 periods reaches intervals 1 and 2 of 5; the oracle
+    # builds raw points, O(q) each, for those two only.
+    built, build = [], cli.build_raw_points
+
+    def counting_build(budgets, core):
+        built.append(budgets)
+        return build(budgets, core)
+
+    monkeypatch.setattr(cli, "build_raw_points", counting_build)
+    code, out, _ = run(capsys, "oracle", "--scenario", _write(tmp_path, json.dumps(UNREACHED).encode()))
+    assert code == 0
+    assert json.loads(out)["objectives_match"] is True
+    assert len(built) == 2
+
+
 def test_oracle_refuses_over_guard_before_building_raw_points(capsys, tmp_path, monkeypatch):
     # Core 2's budget would need 10^8 raw stall points; analyze-dynamic
     # answers the same file at once from the hull vertices alone.

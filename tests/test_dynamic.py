@@ -59,8 +59,8 @@ class TestDistributeMemory:
     def test_worked_split_stalls(self):
         assignment = distribute_memory((5, 1, 0), 25, CURVES3)
         breakdown = stall_breakdown((5, 1, 0), assignment, CURVES3)
-        assert breakdown.per_interval == (50, 8, 0)
-        assert breakdown.total == 58
+        assert breakdown == (50, 8, 0)
+        assert sum(breakdown) == 58
         assert Fraction(*assignment.stall) == 58
 
     def test_zero_memory(self):
@@ -99,6 +99,22 @@ class TestDistributeMemory:
         placed = {mu: distribute_memory((2, 2), mu, (curve, curve)).per_interval for mu in range(21)}
         assert [placed[mu] for mu in (3, 4, 5, 9, 15, 20)] == [(3, 0), (4, 0), (4, 1), (5, 4), (10, 5), (10, 10)]
         assert all(first >= second for first, second in placed.values())
+
+    @pytest.mark.parametrize(
+        ("splits", "curves"),
+        [
+            # A nonzero split without a curve, at the end and past a zero.
+            ((5, 1, 0), CURVES3[:1]),
+            ((5, 0, 1), CURVES3[:2]),
+            ((5,), ()),
+            # More curves than splits.
+            ((5, 1), CURVES3),
+            ((0,), CURVES3[:2]),
+        ],
+    )
+    def test_curves_must_cover_the_reached_prefix(self, splits, curves):
+        with pytest.raises(InvariantError, match="reached prefix"):
+            distribute_memory(splits, 25, curves)
 
 
 def _scan_distribute(splits, memory, curves):
@@ -205,6 +221,9 @@ def test_heap_greedy_matches_the_pass_scan(inst):
     got = distribute_memory(splits, memory, curves)
     assert got == _scan_distribute(splits, memory, curves)
     assert got.stall[1] >= 1
+    # The same assignment from curves cut after the last nonzero split.
+    reached = max((j + 1 for j, w in enumerate(splits) if w), default=0)
+    assert distribute_memory(splits, memory, curves[:reached]) == got
 
 
 def _one_segment(rise: int, width: int) -> StallCurve:
@@ -253,7 +272,7 @@ class TestGreedyOptimality:
     def test_matches_enumeration_objective(self, inst):
         splits, memory, raws, curves = inst
         assignment = distribute_memory(splits, memory, curves)
-        got = stall_breakdown(splits, assignment, curves).total
+        got = sum(stall_breakdown(splits, assignment, curves))
         best, _ = oracle_distribute(splits, memory, raws)
         assert got == best
 
@@ -267,7 +286,7 @@ class TestGreedyOptimality:
         capacity = sum(w * c.q for w, c in zip(splits, curves))
         assert sum(assignment.per_interval) == min(memory, capacity)
         assert assignment.saturated == (memory > capacity)
-        assert Fraction(*assignment.stall) == stall_breakdown(splits, assignment, curves).total
+        assert Fraction(*assignment.stall) == sum(stall_breakdown(splits, assignment, curves))
         for alloc, span, curve in zip(assignment.per_interval, splits, curves):
             assert 0 <= alloc <= span * curve.q
 
@@ -276,7 +295,7 @@ class TestGreedyOptimality:
     def test_single_transaction_exchange_never_helps(self, inst, data):
         splits, memory, raws, curves = inst
         assignment = distribute_memory(splits, memory, curves)
-        base = stall_breakdown(splits, assignment, curves).total
+        base = sum(stall_breakdown(splits, assignment, curves))
         n = len(splits)
         src = data.draw(st.integers(0, n - 1))
         dst = data.draw(st.integers(0, n - 1))
@@ -477,7 +496,7 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
     assert [t.span for t in result.trace] == list(range(1, span + 1)) + ([span] if result.converged else [])
     for prev, entry in zip(result.trace, result.trace[1:]):
         splits = split_span(schedule, prev.span)
-        stall = stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves).total
+        stall = sum(stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves))
         assert entry.stall == stall
         assert entry.span == math.ceil((workload.beta + stall) / schedule.q_total)
 
@@ -586,7 +605,7 @@ def test_run_walk_matches_one_iterate_at_a_time():
 
                 def dynamic_stall(span, schedule=schedule, wl=wl):
                     splits = split_span(schedule, span)
-                    return stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves).total
+                    return sum(stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves))
 
                 result = results[schedule, wl] = analyze_dynamic(wl, schedule, 1, cfg)
                 expected = _one_iterate_at_a_time(wl, q_total, cfg, dynamic_stall)
@@ -707,7 +726,7 @@ def test_trace_is_self_consistent(inst):
     curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
     for prev, entry in zip(result.trace, result.trace[1:]):
         splits = split_span(schedule, prev.span)
-        stall = stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves).total
+        stall = sum(stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves))
         assert entry.stall == stall
         assert entry.span == math.ceil((wl.beta + stall) / schedule.q_total)
 

@@ -73,6 +73,8 @@ class TestDistributeEnumeration:
         best, assign = oracle_distribute((5, 1, 0), 25, raws)
         assert best == 58
         assert assign == (22, 3, 0)
+        # The same optimum from raw points cut after the last nonzero split.
+        assert oracle_distribute((5, 1, 0), 25, raws[:2]) == (best, assign)
 
     def test_guard_trips_on_huge_spaces(self):
         big = BudgetVector((2000, 2000))
@@ -83,6 +85,23 @@ class TestDistributeEnumeration:
     def test_split_count_must_match(self):
         with pytest.raises(InvariantError):
             oracle_distribute((1, 1), 0, (build_raw_points(VEC, 3),))
+
+    @pytest.mark.parametrize(
+        ("splits", "count"),
+        [
+            # A nonzero split without raw points, at the end and past a zero.
+            ((5, 1, 0), 1),
+            ((5, 0, 1), 2),
+            ((5,), 0),
+            # More raw points than splits.
+            ((5, 1), 3),
+            ((0,), 2),
+        ],
+    )
+    def test_raws_must_cover_the_reached_prefix(self, splits, count):
+        raws = tuple(build_raw_points(v, 3) for v in (VEC, BudgetVector((2, 3, 7, 4)), EVEN4))
+        with pytest.raises(InvariantError, match="reached prefix"):
+            oracle_distribute(splits, 25, raws[:count])
 
 
 class TestSimulation:
