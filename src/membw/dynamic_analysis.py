@@ -22,7 +22,10 @@ interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
 that both analyzers run. They differ only in the stall term S(W) they pass
 in: the split + greedy S above here, the single-curve term in
-:mod:`membw.static_analysis`.
+:mod:`membw.static_analysis`. The loop takes integers; the public analyzers
+check Q against the config and turn the deadline into periods first, and
+the IMA policies, whose inputs generation guarantees, call the split +
+greedy kernel behind :func:`analyze_dynamic` directly.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in
@@ -50,7 +53,7 @@ from heapq import heapify, heappop, heapreplace
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .results import AnalysisResult, AnalysisStatus
-from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
+from .schedule import MemorySchedule, RegulationConfig, Workload, _check_reached_prefix, deadline_periods, split_span
 from .stall_curve import StallCurve, curve_for_core
 
 
@@ -102,8 +105,8 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     raises :class:`InvariantError`.
     """
     n = len(splits)
-    if len(curves) != n and (len(curves) > n or any(splits[len(curves) :])):
-        raise InvariantError(f"distribute_memory: {len(curves)} curves do not cover the reached prefix of {n} splits")
+    if len(curves) != n:
+        _check_reached_prefix("distribute_memory", splits, curves)
     if memory < 0:
         raise InvariantError("distribute_memory: memory must be >= 0")
     for w in splits:
@@ -151,9 +154,11 @@ def stall_breakdown(
 ) -> tuple[Fraction, ...]:
     """The stalls S^j = I^j(mu^j / W^j) * W^j, one per interval, exactly.
 
-    ``curves`` covers the reached prefix, as for :func:`distribute_memory`:
-    only intervals with W^j > 0 read their curve, the rest have S^j = 0.
+    ``curves`` covers the reached prefix, checked as for
+    :func:`distribute_memory`: only intervals with W^j > 0 read their curve,
+    the rest have S^j = 0.
     """
+    _check_reached_prefix("stall_breakdown", splits, curves)
     return tuple(
         curves[j].stall_over(splits[j], assignment.per_interval[j]) if splits[j] > 0 else Fraction(0)
         for j in range(len(splits))
@@ -169,9 +174,28 @@ def analyze_dynamic(
     iterate no longer fits the deadline) or schedule exhaustion (an iterate
     outgrew a fully bounded schedule; the result carries the shortfall).
     """
+    limit = _limit(workload, schedule.q_total, config)
+    return _dynamic_span(schedule, core, workload.execution, workload.memory, limit)
+
+
+def _limit(workload: Workload, q_total: int, config: RegulationConfig) -> int | None:
+    """The workload's deadline in periods, or None without one, once the
+    budgets' total Q is checked against the config."""
+    if q_total != config.transactions_per_period:
+        raise InvariantError(
+            f"budgets sum to {q_total} but config provides "
+            f"{config.transactions_per_period} transactions per period"
+        )
+    return deadline_periods(workload, config) if workload.deadline is not None else None
+
+
+def _dynamic_span(
+    schedule: MemorySchedule, core: int, execution: int, memory: int, limit: int | None
+) -> AnalysisResult:
+    """:func:`analyze_dynamic` on inputs already known valid: E >= 1,
+    mu >= 0, and the deadline as ``limit`` periods (None for none)."""
     intervals = schedule.intervals
     n = len(intervals)
-    memory = workload.memory
     # The curves of the intervals reached so far: spans only grow, and the
     # intervals a span reaches are a prefix of the schedule.
     curves: tuple[StallCurve, ...] = ()
@@ -199,16 +223,20 @@ def analyze_dynamic(
             stride = (schedule.q_total - q, last)
         return *assignment.stall, (splits, assignment, curves), stride
 
-    return _fixed_point(workload, schedule.q_total, config, stall_term)
+    return _fixed_point(execution + memory, limit, schedule.q_total, stall_term)
 
 
 def _fixed_point(
-    workload: Workload,
+    beta: int,
+    limit: int | None,
     q_total: int,
-    config: RegulationConfig,
     stall_term: Callable[[int], tuple[int, int, tuple | None, tuple[int, int] | None]],
 ) -> AnalysisResult:
     """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
+
+    Every input is an integer the caller has checked: beta = E + mu >= 1,
+    ``limit`` the deadline in periods (None for none) and ``q_total`` = Q,
+    the budgets' total.
 
     ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
     periods as a numerator and a positive denominator, both integers, the
@@ -250,14 +278,6 @@ def _fixed_point(
     analysis as schedule exhaustion. The defensive cap bounds the span, so
     it bounds the iterates however many a run covers.
     """
-    if q_total != config.transactions_per_period:
-        raise InvariantError(
-            f"budgets sum to {q_total} but config provides "
-            f"{config.transactions_per_period} transactions per period"
-        )
-    beta = workload.beta
-    limit = deadline_periods(workload, config) if workload.deadline is not None else None
-
     span = -(-beta // q_total)
     raw = [(span, 0, 1)]
     # No iterate may pass top: the deadline, or else the defensive cap. A

@@ -19,18 +19,18 @@ Policies:
   partitions have all finished drop to the 1-transaction floor, and the
   budget so freed is redistributed over the still-active cores in
   proportion to weights recomputed from the unfinished partitions'
-  demands. An active core never holds less than its initial share; whether
-  that keeps its stall bound within SU's is open (ROADMAP, open item 3).
+  demands. An active core never holds less than its initial share, but
+  that does not keep its stall bound within SU's: a set can pass SU and
+  fail DY (``tests/test_ima.py::test_dy_can_fail_where_su_passes``).
   The interval boundaries of the resulting memory schedule are the
-  completion events. Completions
-  are hypothesized by analyzing each running partition against the
-  schedule built so far plus the current vector extended indefinitely; the
-  earliest hypothesis is the next event. Same-period completions collapse
-  into a single event. In that view each run of equal vectors is merged
-  into one interval, which gives the same span; so while the vector stays
-  the same, a running partition's view and hypothesis stay the same, and
-  the hypothesis is reused until the partition completes or the vector
-  changes. The vector stays SU's until some core finishes its last
+  completion events. Completions are hypothesized by analyzing each
+  running partition against the schedule built so far plus the current
+  vector extended indefinitely; the earliest hypothesis is the next event.
+  Same-period completions collapse into a single event. In that view each
+  run of equal vectors is merged into one interval, which gives the same
+  span; so while the vector stays the same, a running partition's view and
+  hypothesis stay the same, and the hypothesis is reused until the
+  partition completes or the vector changes. The vector stays SU's until some core finishes its last
   partition; from then on any completion can shift the live cores' weights
   and with them the vector. An event re-analyzes the partitions that just
   started, and every running one only when the vector moved.
@@ -59,9 +59,8 @@ from fractions import Fraction
 from hashlib import blake2b
 from typing import ClassVar, NamedTuple
 
-from .dynamic_analysis import analyze_dynamic
+from .dynamic_analysis import _dynamic_span
 from .errors import InvariantError
-from .results import AnalysisStatus
 from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
 from .stall_curve import BudgetVector
 
@@ -96,8 +95,8 @@ class ExperimentConfig:
     """One sweep point (m, MIr, U) of the fixed IMA model.
 
     The model is the class constants (H and the period in seconds); the
-    slot length, H in periods and in slots, the regulation config and the
-    deadline of a partition started at each period of H follow from them.
+    slot length, H in periods and in slots and the regulation config follow
+    from them. A partition started at period s has H - s periods left.
     m is an int; MIr and U are exact: ints or Fractions, never floats.
     """
 
@@ -115,8 +114,6 @@ class ExperimentConfig:
     hyperperiod_periods: ClassVar[int] = int(hyperperiod / period)
     hyperperiod_slots: ClassVar[int] = hyperperiod_periods * q_total
     regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
-    # deadlines[start] = (H - start) * period, the time left in H from period start.
-    deadlines: ClassVar[tuple[Fraction, ...]] = tuple(map(period.__mul__, range(hyperperiod_periods, 0, -1)))
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool):
@@ -399,8 +396,10 @@ def _hypothesize_span(
 
 def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
     """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H."""
-    result = analyze_dynamic(part.workload(config.deadlines[start]), schedule, part.core, config.regulation)
-    return result.span if result.status is AnalysisStatus.CONVERGED else None
+    # Generation guarantees E >= 1 and mu >= 0 and every schedule here is
+    # over the config's Q, so the kernel runs without the public checks.
+    result = _dynamic_span(schedule, part.core, part.execution, part.memory, config.hyperperiod_periods - start)
+    return result.span if result.converged else None
 
 
 def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentConfig) -> bool:

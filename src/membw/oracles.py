@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError, OracleTooLargeError
-from .schedule import MemorySchedule, Workload
+from .schedule import MemorySchedule, Workload, _check_reached_prefix
 from .stall_curve import RawStallPoints, build_raw_points, concave_envelope
 
 ENUMERATION_GUARD = 10**7
@@ -70,8 +70,7 @@ def oracle_distribute(
     matching the greedy's lowest-index tie-breaking.
     """
     n = len(splits)
-    if len(raws) != n and (len(raws) > n or any(splits[len(raws) :])):
-        raise InvariantError(f"oracle_distribute: {len(raws)} raw curves do not cover the reached prefix of {n} splits")
+    _check_reached_prefix("oracle_distribute", splits, raws)
     caps = [w * raw.q for w, raw in zip(splits, raws)]
     _check_assignment_space(caps)
     curves = [concave_envelope(raw) for raw in raws]

@@ -27,7 +27,7 @@ detail, so a static result's ``breakdown`` is None.
 
 from __future__ import annotations
 
-from .dynamic_analysis import _fixed_point
+from .dynamic_analysis import _fixed_point, _limit
 from .results import AnalysisResult
 from .schedule import RegulationConfig, Workload
 from .stall_curve import BudgetVector, curve_for_core
@@ -52,4 +52,4 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
         # S(W') = (Q - q) * W' on the last segment for every W' <= mu // q.
         return num, den, None, ((budgets.total - q) * den, memory // q)
 
-    return _fixed_point(workload, budgets.total, config, stall_term)
+    return _fixed_point(workload.beta, _limit(workload, budgets.total, config), budgets.total, stall_term)

@@ -115,6 +115,8 @@ class TestDistributeMemory:
     def test_curves_must_cover_the_reached_prefix(self, splits, curves):
         with pytest.raises(InvariantError, match="reached prefix"):
             distribute_memory(splits, 25, curves)
+        with pytest.raises(InvariantError, match="reached prefix"):
+            stall_breakdown(splits, MemoryAssignment((0,) * len(splits), False, (0, 1)), curves)
 
 
 def _scan_distribute(splits, memory, curves):
@@ -380,10 +382,6 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
 
 # The loop's guards, driven by fake stall terms: beta = 10 and Q = 10, so the
 # first iterate is W = 1 and a zero stall holds it.
-FAKE_WORKLOAD = Workload(execution=5, memory=5)
-FAKE_CFG = RegulationConfig(period=Fraction(10), l_max=Fraction(1))
-
-
 @pytest.mark.parametrize(
     ("stall_term", "message"),
     [
@@ -400,12 +398,12 @@ FAKE_CFG = RegulationConfig(period=Fraction(10), l_max=Fraction(1))
 )
 def test_fixed_point_guards(stall_term, message):
     with pytest.raises(InvariantError, match=message):
-        _fixed_point(FAKE_WORKLOAD, 10, FAKE_CFG, stall_term)
+        _fixed_point(10, None, 10, stall_term)
 
 
 def test_fixed_point_keeps_the_converged_detail():
     detail = ("splits", "assignment", "curves")
-    result = _fixed_point(FAKE_WORKLOAD, 10, FAKE_CFG, lambda w: (0, 1, detail, None))
+    result = _fixed_point(10, None, 10, lambda w: (0, 1, detail, None))
     assert result.status is AnalysisStatus.CONVERGED
     assert result.span == 1
     assert result.detail is detail

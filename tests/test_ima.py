@@ -21,11 +21,13 @@ from membw import (
     analyze_dynamic,
     deadline_periods,
 )
+from membw import ima
 from membw.errors import InvariantError
 from membw.ima import (
     POLICIES,
     ExperimentConfig,
     Partition,
+    PartitionSet,
     Ratio,
     SweepConfig,
     SweepPoint,
@@ -345,7 +347,7 @@ class TestDynamicPolicy:
         assert not outcome.schedulable
         assert outcome.schedule is None
 
-    def test_dominates_static_uneven_on_sample(self):
+    def test_no_sample_set_passes_su_and_fails_dy(self):
         wins = ties = losses = 0
         cfg = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(55, 100))
         for seed in range(25):
@@ -356,6 +358,43 @@ class TestDynamicPolicy:
             losses += su and not dy
             ties += su == dy
         assert losses == 0
+
+
+# (id, core, E, mu) of a set that SU passes and DY fails: DY is not a
+# dominance refinement of SU. Partition 20's E is the largest at which SU
+# still passes.
+DY_LOSES = (
+    (0, 2, 407309, 15222), (1, 5, 441877, 8711), (2, 1, 430135, 8166), (3, 6, 134904, 7267),
+    (4, 5, 1039594, 44645), (5, 3, 522223, 33934), (6, 5, 497066, 16053), (7, 4, 424879, 22071),
+    (8, 4, 915805, 15351), (9, 1, 1373, 37), (10, 3, 322048, 25179), (11, 4, 221924, 14560),
+    (12, 1, 230370, 18604), (13, 5, 183239, 8780), (14, 6, 374394, 710930), (15, 3, 106141, 7065),
+    (16, 1, 126642, 1424636), (17, 6, 877933, 90834), (18, 2, 564758, 38932), (19, 2, 78921, 3750),
+    (20, 6, 644478, 2118), (21, 3, 1182019, 41357), (22, 2, 1092207, 38866), (23, 4, 607118, 18256),
+)
+
+
+def test_dy_can_fail_where_su_passes():
+    cfg = ExperimentConfig(m=6, mir=Fraction(1, 10), u=Fraction(21, 50))
+    pset = PartitionSet(
+        tuple(
+            Partition(id=pid, core=core, mi=Fraction(0), util=Fraction(0), execution=e, memory=mu)
+            for pid, core, e, mu in DY_LOSES
+        )
+    )
+    assert [evaluate_schedulability(pset, policy, cfg) for policy in POLICIES] == [False, True, False]
+    vector = policy_su(pset, cfg)
+    assert vector.budgets == (24749, 1651, 1834, 1199, 1334, 10899)
+    # Under SU core 6 ends its last partition exactly at H = 128.
+    horizon = cfg.hyperperiod_periods
+    start, su = 0, {}
+    for part in pset.by_core(6):
+        workload = part.workload((horizon - start) * cfg.period)
+        start += analyze_dynamic(workload, MemorySchedule.static(vector), 6, cfg.regulation).span
+        su[part.id] = start
+    assert su == {3: 5, 14: 80, 17: 112, 20: 128}
+    # Under DY partition 17 ends one period later, and 20 misses H.
+    completions = policy_dy(pset, cfg).completions
+    assert {pid: completions[pid] for pid in su if pid in completions} == {3: 5, 14: 80, 17: 113}
 
 
 def _tail(schedule: MemorySchedule, start: int) -> MemorySchedule:
@@ -434,10 +473,33 @@ class TestEvaluation:
             workload = Workload(execution=1, memory=0, deadline=(horizon - start) * CFG.period)
             assert deadline_periods(workload, CFG.regulation) == horizon - start
 
-    def test_deadline_table(self):
-        # The analyses index the deadline by start period instead of building it.
-        horizon = CFG.hyperperiod_periods
-        assert CFG.deadlines == tuple((horizon - start) * CFG.period for start in range(horizon))
+    def test_policies_call_the_kernel_with_checked_inputs(self, monkeypatch):
+        # The policies hand the dynamic kernel E, mu and a limit of H - start
+        # periods and build no Workload; each call must give the very result
+        # the public analyzer gives on the Workload it stands for.
+        built, calls = [], []
+        monkeypatch.setattr(Workload, "__init__", _counting(Workload.__init__, built))
+        kernel = ima._dynamic_span
+
+        def recording(*args):
+            result = kernel(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(ima, "_dynamic_span", recording)
+        for m, u in ((4, Fraction(27, 50)), (8, Fraction(19, 50)), (12, Fraction(3, 10))):
+            cfg = ExperimentConfig(m=m, mir=Fraction(1, 4), u=u)
+            for index in range(2):
+                pset = generate_partition_set(cfg, random.Random(_derive_seed(1, m, cfg.mir, u, index)))
+                for policy in POLICIES:
+                    evaluate_schedulability(pset, policy, cfg)
+        assert built == []
+        statuses = set()
+        for (schedule, core, execution, memory, limit), result in calls:
+            workload = Workload(execution=execution, memory=memory, deadline=limit * ExperimentConfig.period)
+            assert analyze_dynamic(workload, schedule, core, ExperimentConfig.regulation) == result
+            statuses.add(result.status)
+        assert statuses == {AnalysisStatus.CONVERGED, AnalysisStatus.DEADLINE_MISS}
 
 
 def _counting(init, built: list):
