@@ -42,7 +42,11 @@ intensity is drawn uniformly from the mode's range. Demands follow as
 E = round(u * H * (1 - MI) / slot) clamped >= 1 and mu = round(u * H * MI / slot),
 rounding halves up. Every float drawn is dyadic, so both are computed
 exactly in integers: UUniFast telescopes on (numerator, denominator) pairs,
-H / slot is the integer H in slots, and rounding is one floor division.
+H / slot is the integer H in slots, and rounding is one floor division. A
+partition keeps the MI draw as its float and its utilization as the
+unreduced UUniFast pair, so generation builds no Fraction; ``Partition.mi``
+and ``Partition.util`` build the exact reduced values on read. The float
+bounds of the two MI ranges are taken once per set.
 Draw order (one seeded generator per set): HIGH-mode sample, core
 permutation, per-core UUniFast in core order, per-partition MI in id order.
 """
@@ -54,7 +58,7 @@ import os
 import random
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
 from typing import ClassVar, NamedTuple
@@ -67,27 +71,63 @@ from .stall_curve import BudgetVector
 POLICIES = ("SE", "SU", "DY")
 
 
-@dataclass(frozen=True)
+class Ratio(NamedTuple):
+    """An unreduced integer ratio numerator / denominator (a budget weight or
+    a utilization), built without the gcd a :class:`Fraction` takes; read
+    like an int or a Fraction weight."""
+
+    numerator: int
+    denominator: int
+
+
+@dataclass(frozen=True, slots=True)
 class Partition:
-    """One IMA partition: an (E, mu) workload with deadline H."""
+    """One IMA partition: an (E, mu) workload with deadline H.
+
+    It keeps what generation drew: ``mi_draw``, the memory intensity as the
+    float drawn (dyadic, so ``Fraction(mi_draw)`` is exact), and
+    ``util_ratio``, the utilization as UUniFast's unreduced pair. ``mi`` and
+    ``util`` build the reduced Fractions on read; no policy reads them.
+    """
 
     id: int
     core: int
-    mi: Fraction
-    util: Fraction
+    mi_draw: float
+    util_ratio: Ratio
     execution: int
     memory: int
+
+    @property
+    def mi(self) -> Fraction:
+        return Fraction(self.mi_draw)
+
+    @property
+    def util(self) -> Fraction:
+        return Fraction(*self.util_ratio)
 
     def workload(self, deadline: Fraction) -> Workload:
         return Workload(execution=self.execution, memory=self.memory, deadline=deadline)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionSet:
+    """Partitions in id order.
+
+    ``by_core`` groups them by core on its first call and keeps the groups,
+    so a set that no policy evaluates holds none.
+    """
+
     partitions: tuple[Partition, ...]
+    _groups: dict[int, tuple[Partition, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def by_core(self, core: int) -> tuple[Partition, ...]:
-        return tuple(p for p in self.partitions if p.core == core)
+        """The core's partitions in id order; empty for a core with none."""
+        if self._groups is None:
+            groups: dict[int, list[Partition]] = {}
+            for p in self.partitions:
+                groups.setdefault(p.core, []).append(p)
+            object.__setattr__(self, "_groups", {c: tuple(g) for c, g in groups.items()})
+        return self._groups.get(core, ())
 
 
 @dataclass(frozen=True)
@@ -134,21 +174,21 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[tuple[int, int]]:
+def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[Ratio]:
     """n utilizations summing to ``total`` exactly, as unreduced (num, den).
 
     Each draw r = p / d is a dyadic float, so the telescoping stays in
     integers: from the remainder num / den, the utilization is
     num * (d - p) / (den * d) and the next remainder num * p / (den * d).
     """
-    utils: list[tuple[int, int]] = []
+    utils: list[Ratio] = []
     num, den = total.numerator, total.denominator
     for i in range(n, 1, -1):
         p, d = (rng.random() ** (1.0 / (i - 1))).as_integer_ratio()
         den *= d
-        utils.append((num * (d - p), den))
+        utils.append(Ratio(num * (d - p), den))
         num *= p
-    utils.append((num, den))
+    utils.append(Ratio(num, den))
     return utils
 
 
@@ -162,34 +202,25 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     rng.shuffle(perm)
     core_of = {pid: pos // ppc + 1 for pos, pid in enumerate(perm)}
 
-    util_of: dict[int, tuple[int, int]] = {}
+    util_of: dict[int, Ratio] = {}
     for pos in range(0, n, ppc):
         for pid, u in zip(sorted(perm[pos : pos + ppc]), _uunifast(rng, ppc, config.u)):
             util_of[pid] = u
 
+    high = tuple(map(float, config.high_range))
+    low = tuple(map(float, config.low_range))
+    slots = config.hyperperiod_slots
     partitions = []
     for pid in range(n):
-        lo, hi = config.high_range if pid in high_ids else config.low_range
-        mi = rng.uniform(float(lo), float(hi))
+        mi = rng.uniform(*(high if pid in high_ids else low))
         mi_num, mi_den = mi.as_integer_ratio()
-        u_num, u_den = util_of[pid]
+        util = util_of[pid]
         # demand * MI = u * (H / slot) * MI, over the denominator u_den * mi_den.
-        scaled, den = u_num * config.hyperperiod_slots, u_den * mi_den
+        scaled, den = util.numerator * slots, util.denominator * mi_den
         execution = max(1, _round_half_up(scaled * (mi_den - mi_num), den))
         memory = _round_half_up(scaled * mi_num, den)
-        util = Fraction(u_num, u_den)
-        partitions.append(
-            Partition(id=pid, core=core_of[pid], mi=Fraction(mi), util=util, execution=execution, memory=memory)
-        )
+        partitions.append(Partition(pid, core_of[pid], mi, util, execution, memory))
     return PartitionSet(partitions=tuple(partitions))
-
-
-class Ratio(NamedTuple):
-    """An unreduced integer weight numerator / denominator, built without the
-    gcd a :class:`Fraction` takes; read like an int or a Fraction weight."""
-
-    numerator: int
-    denominator: int
 
 
 def _largest_remainder(total: int, weights: Sequence[int | Fraction | Ratio]) -> list[int]:

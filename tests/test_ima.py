@@ -162,6 +162,44 @@ class TestGeneration:
                 digest.update(f"{p.id},{p.core},{p.mi},{p.util},{p.execution},{p.memory};".encode())
         assert digest.hexdigest() == "41fccb6c8e4109ae8589862088cde89caee8eeabbd951094f9e8fe14935cb442"
 
+    def test_generation_builds_no_fraction(self, monkeypatch):
+        # A partition keeps its MI draw and its unreduced UUniFast pair, so
+        # drawing a set constructs no Fraction through the module's name.
+        configs = [ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2)) for m in (2, 8)]
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+        monkeypatch.setattr(ima, "Fraction", counting)
+        for cfg in configs:
+            generate_partition_set(cfg, random.Random(5))
+        assert built == []
+
+    def test_mi_and_util_are_built_on_read(self):
+        pset = _set(7)
+        for p in pset.partitions:
+            assert type(p.mi_draw) is float and type(p.util_ratio) is Ratio
+            assert type(p.mi) is Fraction and p.mi == Fraction(p.mi_draw)
+            assert type(p.util) is Fraction
+            assert p.util == Fraction(p.util_ratio.numerator, p.util_ratio.denominator)
+
+    def test_partitions_carry_no_instance_dict(self):
+        pset = _set()
+        assert not hasattr(pset, "__dict__")
+        assert not any(hasattr(p, "__dict__") for p in pset.partitions)
+
+    def test_by_core_groups_once_in_id_order(self):
+        pset = _set(11)
+        for core in range(1, CFG.m + 1):
+            group = pset.by_core(core)
+            assert group == tuple(p for p in pset.partitions if p.core == core)
+            assert pset.by_core(core) is group
+        assert pset.by_core(0) == pset.by_core(CFG.m + 1) == ()
+        assert [p.id for p in pset.partitions] == list(range(len(pset.partitions)))
+        assert pset == _set(11)
+
     def test_round_half_up_on_ties(self):
         assert [_round_half_up(n, d) for n, d in ((5, 2), (0, 1), (1, 2), (3, 2), (7, 4), (5, 4), (1, 3))] == [
             3, 0, 1, 2, 2, 1, 0,
@@ -217,7 +255,7 @@ class TestBudgetSplitting:
         # evenly: 4/3 each, a three-way tie in fractional parts that core 1
         # wins by index.
         unfinished = [
-            Partition(id=pid, core=core, mi=Fraction(0), util=Fraction(1, 8), execution=10, memory=0)
+            Partition(id=pid, core=core, mi_draw=0.0, util_ratio=Ratio(1, 8), execution=10, memory=0)
             for pid, core in enumerate((1, 3, 4))
         ]
         assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
@@ -377,7 +415,7 @@ def test_dy_can_fail_where_su_passes():
     cfg = ExperimentConfig(m=6, mir=Fraction(1, 10), u=Fraction(21, 50))
     pset = PartitionSet(
         tuple(
-            Partition(id=pid, core=core, mi=Fraction(0), util=Fraction(0), execution=e, memory=mu)
+            Partition(id=pid, core=core, mi_draw=0.0, util_ratio=Ratio(0, 1), execution=e, memory=mu)
             for pid, core, e, mu in DY_LOSES
         )
     )
