@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _pick_core(scenario: Scenario, core: int | None) -> int:
     if core is not None:
         return core
-    cores = sorted({w.core for w in scenario.workloads})
+    cores = sorted(scenario.workloads)
     if len(cores) != 1:
         raise MembwError(f"scenario has workloads for cores {cores}; pass --core")
     return cores[0]

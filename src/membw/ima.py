@@ -24,16 +24,17 @@ Policies:
   fail DY (``tests/test_ima.py::test_dy_can_fail_where_su_passes``).
   The interval boundaries of the resulting memory schedule are the
   completion events. Completions are hypothesized by analyzing each
-  running partition against the schedule built so far plus the current
-  vector extended indefinitely; the earliest hypothesis is the next event.
-  Same-period completions collapse into a single event. In that view each
-  run of equal vectors is merged into one interval, which gives the same
-  span; so while the vector stays the same, a running partition's view and
-  hypothesis stay the same, and the hypothesis is reused until the
-  partition completes or the vector changes. The vector stays SU's until some core finishes its last
-  partition; from then on any completion can shift the live cores' weights
-  and with them the vector. An event re-analyzes the partitions that just
-  started, and every running one only when the vector moved.
+  running partition against the intervals built since its start plus the
+  current vector extended indefinitely; the earliest hypothesis is the next
+  event. Same-period completions collapse into a single event. A
+  hypothesis is computed at two moments only. When its partition starts,
+  the view is the current vector alone. When the vector changes, every
+  running partition is re-analyzed, and its view ends with the old vector
+  and then the new one, unbounded; runs of equal vectors in it are merged,
+  which gives the same span. Between those moments the view, and so the
+  hypothesis, stays the same. The vector stays SU's until some core
+  finishes its last partition; from then on any completion can shift the
+  live cores' weights and with them the vector.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -61,6 +62,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import groupby
+from operator import attrgetter
 from typing import ClassVar, NamedTuple
 
 from .dynamic_analysis import _dynamic_span
@@ -324,27 +327,23 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     rebuilt by ``_reclaim_vector``: active cores keep their initial share and
     split the budget reclaimed from finished cores by weights recomputed from
     the unfinished partitions' remaining demands. Between events budgets are
-    constant, so advancing event-to-event is exact. A running partition's
-    completion is hypothesized by analyzing it over the intervals built since
-    its start plus the current vector extended indefinitely (see
-    ``_hypothesize_span`` for why that view is merged); the earliest
-    hypothesis is the next event, at which point that hypothesis matches the
-    as-built schedule through the completion.
+    constant, so advancing event-to-event is exact.
 
-    A hypothesis is kept until its partition completes or the vector
-    changes: while the vector stays the same, the merged view of every
-    running partition stays the same, and so does its hypothesis. The
-    returned schedule is not merged: one interval per event plus the
-    unbounded tail.
+    The state is one queue per core (its unfinished partitions, the running
+    one first), the as-built intervals ``built``, and each running
+    partition's start period with ``len(built)`` at that start. A partition
+    is hypothesized when it starts, over the current vector alone, and again
+    whenever the vector changes, over the intervals built since its start
+    and then the new vector (see ``_hypothesize_span``). The earliest
+    hypothesis is the next event, and it matches the as-built schedule
+    through the completion. The returned schedule is ``built`` plus the
+    unbounded tail: one interval per event, unmerged.
     """
     horizon = config.hyperperiod_periods
     queues = {core: list(pset.by_core(core)) for core in range(1, config.m + 1)}
-    active: dict[int, tuple[Partition, int]] = {}
-    for core, queue in queues.items():
-        if queue:
-            active[core] = (queue.pop(0), 0)
-
-    built: list[tuple[BudgetVector, int, int]] = []
+    # Per core with a running partition: (start period, len(built) at the start).
+    starts = {core: (0, 0) for core, queue in queues.items() if queue}
+    built: list[BudgetInterval] = []
     base = policy_su(pset, config)
     current_vec = base
     current_start = 0
@@ -353,10 +352,10 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     # when it cannot complete under the current vector.
     events: dict[int, int | None] = {}
 
-    while active:
-        for core, (part, start) in active.items():
+    while starts:
+        for core, (start, first) in starts.items():
             if core not in events:
-                span = _hypothesize_span(part, start, built, current_vec, config)
+                span = _hypothesize_span(queues[core][0], start, built[first:], current_vec, config)
                 events[core] = None if span is None else start + span
         pending = [t for t in events.values() if t is not None]
         if not pending:
@@ -367,61 +366,51 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
         t_next = min(pending)
         if not current_start < t_next <= horizon:
             raise InvariantError("events must advance within the hyperperiod")
-        built.append((current_vec, current_start, t_next))
+        built.append(BudgetInterval(budgets=current_vec, length=t_next - current_start))
         for core in [c for c, t in events.items() if t == t_next]:
-            part, _ = active.pop(core)
-            del events[core]
-            completions[part.id] = t_next
-            if queues[core]:
+            del events[core], starts[core]
+            queue = queues[core]
+            completions[queue.pop(0).id] = t_next
+            if queue:
                 if t_next >= horizon:
                     # Successor would start at (or past) the deadline.
                     return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
-                active[core] = (queues[core].pop(0), t_next)
-        work = [part for part, _ in active.values()]
-        work += [part for queue in queues.values() for part in queue]
-        next_vec = _reclaim_vector(base, work)
+                starts[core] = (t_next, len(built))
+        next_vec = _reclaim_vector(base, [part for queue in queues.values() for part in queue])
         if next_vec != current_vec:
             events.clear()
         current_vec = next_vec
         current_start = t_next
 
-    intervals = tuple(BudgetInterval(budgets=v, length=end - start) for v, start, end in built)
-    intervals += (BudgetInterval(budgets=current_vec, length=None),)
-    return DynamicPolicyOutcome(
-        schedulable=True, schedule=MemorySchedule(intervals=intervals), completions=completions
-    )
+    schedule = MemorySchedule(intervals=(*built, BudgetInterval(budgets=current_vec, length=None)))
+    return DynamicPolicyOutcome(schedulable=True, schedule=schedule, completions=completions)
 
 
 def _hypothesize_span(
     part: Partition,
     start: int,
-    built: list[tuple[BudgetVector, int, int]],
+    history: list[BudgetInterval],
     current_vec: BudgetVector,
     config: ExperimentConfig,
 ) -> int | None:
     """Span of ``part`` from its start period under the schedule so far, or
     None if it cannot converge within its slice of the hyperperiod.
 
-    The view is the built intervals from ``start`` on, with every run of
-    adjacent equal vectors merged into one interval, and a run in
-    ``current_vec`` merged into the final unbounded interval. Merging gives
-    the same span and trace as the unmerged view: one vector gives every
-    piece of a run the same concave curve, whose segment start points are
-    integers, so the greedy distributor leaves every piece on the same
-    linear segment, and the pieces' stalls sum to the merged interval's.
+    ``history`` is the intervals built since ``start``. It is empty when the
+    partition has just started; otherwise the vector has just changed, so
+    its last interval holds a vector other than ``current_vec``. The view is
+    ``history`` with every run of adjacent equal vectors merged into one
+    interval, then ``current_vec`` unbounded. Merging gives the same span and
+    trace as the unmerged view: one vector gives every piece of a run the
+    same concave curve, whose segment start points are integers, so the
+    greedy distributor leaves every piece on the same linear segment, and
+    the pieces' stalls sum to the merged interval's.
     """
-    runs: list[list] = []
-    for vec, seg_start, seg_end in built:
-        if seg_start < start:
-            continue
-        if runs and runs[-1][0] == vec:
-            runs[-1][1] += seg_end - seg_start
-        else:
-            runs.append([vec, seg_end - seg_start])
-    if runs and runs[-1][0] == current_vec:
-        runs.pop()
-    intervals = tuple(BudgetInterval(budgets=vec, length=length) for vec, length in runs)
-    view = MemorySchedule(intervals=intervals + (BudgetInterval(budgets=current_vec, length=None),))
+    runs = [
+        BudgetInterval(budgets=vec, length=sum(iv.length for iv in run))
+        for vec, run in groupby(history, key=attrgetter("budgets"))
+    ]
+    view = MemorySchedule(intervals=(*runs, BudgetInterval(budgets=current_vec, length=None)))
     return _span_within(part, start, view, config)
 
 

@@ -179,23 +179,18 @@ def deadline_periods(workload: Workload, config: RegulationConfig) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class ScenarioWorkload:
-    core: int
-    workload: Workload
-
-
-@dataclass(frozen=True, slots=True)
 class Scenario:
+    """A parsed scenario file; ``workloads`` maps core to workload in file order."""
+
     config: RegulationConfig
     schedule: MemorySchedule
-    workloads: tuple[ScenarioWorkload, ...]
+    workloads: dict[int, Workload]
 
     def workload_for_core(self, core: int) -> Workload:
-        # parse_scenario rejects duplicate cores, so the first match is the only one.
-        for w in self.workloads:
-            if w.core == core:
-                return w.workload
-        raise ScenarioError(f"scenario: no workload for core {core}")
+        try:
+            return self.workloads[core]
+        except KeyError:
+            raise ScenarioError(f"scenario: no workload for core {core}") from None
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -291,26 +286,19 @@ def parse_scenario(text: str) -> Scenario:
 
         if not isinstance(doc["workloads"], list) or not doc["workloads"]:
             raise ScenarioError("scenario: workloads must be a non-empty array")
-        workloads = []
-        cores = set()
+        workloads: dict[int, Workload] = {}
         for pos, entry in enumerate(doc["workloads"]):
             if not isinstance(entry, dict) or not {"core", "E", "mu"} <= set(entry):
                 raise ScenarioError(f"scenario: workloads[{pos}] must have core, E and mu")
             core = _as_int(entry["core"], f"workloads[{pos}].core")
             if not 1 <= core <= schedule.m:
                 raise ScenarioError(f"scenario: workloads[{pos}].core {core} outside [1..{schedule.m}]")
-            if core in cores:
+            if core in workloads:
                 raise ScenarioError(f"scenario: workloads[{pos}]: duplicate core {core}")
-            cores.add(core)
-            workloads.append(
-                ScenarioWorkload(
-                    core=core,
-                    workload=Workload(
-                        execution=_as_int(entry["E"], f"workloads[{pos}].E"),
-                        memory=_as_int(entry["mu"], f"workloads[{pos}].mu"),
-                        deadline=_as_fraction(entry["D"], f"workloads[{pos}].D") if "D" in entry else None,
-                    ),
-                )
+            workloads[core] = Workload(
+                execution=_as_int(entry["E"], f"workloads[{pos}].E"),
+                memory=_as_int(entry["mu"], f"workloads[{pos}].mu"),
+                deadline=_as_fraction(entry["D"], f"workloads[{pos}].D") if "D" in entry else None,
             )
     except InvariantError as exc:
         # Re-badge so the CLI reports a scenario problem, keeping the
@@ -321,7 +309,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"scenario: config.Q = {config.q_total} but schedule budgets sum to {schedule.q_total}"
         )
-    return Scenario(config=config, schedule=schedule, workloads=tuple(workloads))
+    return Scenario(config=config, schedule=schedule, workloads=workloads)
 
 
 def load_scenario(path: str) -> Scenario:

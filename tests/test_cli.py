@@ -466,3 +466,22 @@ def test_any_argv_exits_0_or_2(scenario_paths, data):
             assert exc.code == 2, argv
         else:
             assert code in (0, 2), argv
+
+
+@pytest.mark.parametrize(
+    ("replace", "message"),
+    [
+        pytest.param(('"mu": 35}', '"mu": 35, "D": 0}'), "workload: deadline must be > 0", id="zero-deadline"),
+        pytest.param(('"length": "unbounded"', '"length": 0'), "budget interval: length must be", id="zero-length"),
+    ],
+)
+def test_invariant_violations_in_a_scenario_exit_2(capsys, tmp_path, replace, message):
+    # Rejected by the domain types' own checks, and reported as a scenario
+    # problem: one diagnostic line, no traceback.
+    with open(STATIC, encoding="utf-8") as fh:
+        text = fh.read()
+    assert replace[0] in text
+    code, out, err = run(capsys, "analyze-static", "--scenario", _write(tmp_path, text.replace(*replace).encode()))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scenario: ") and message in err
+    assert err.count("\n") == 1

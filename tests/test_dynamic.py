@@ -869,3 +869,15 @@ def test_curves_are_built_only_for_reached_intervals(monkeypatch):
     assert [(b.span, b.memory, b.stall) for b in result.breakdown] == [
         (5, 19, 45), (2, 6, 16), (0, 0, 0), (0, 0, 0), (0, 0, 0)
     ]
+
+
+@pytest.mark.parametrize(
+    ("splits", "memory", "message"),
+    [
+        pytest.param((5, 3), -1, "memory must be >= 0", id="negative-memory"),
+        pytest.param((5, -1), 4, "splits must be >= 0", id="negative-split"),
+    ],
+)
+def test_distribute_memory_rejects_negative_inputs(splits, memory, message):
+    with pytest.raises(InvariantError, match=message):
+        distribute_memory(splits, memory, CURVES3[:2])

@@ -103,6 +103,20 @@ class TestExperimentConfig:
                 ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    ("mir", "u", "message"),
+    [
+        pytest.param(Fraction(-1, 4), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-below-0"),
+        pytest.param(Fraction(5, 4), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-above-1"),
+        pytest.param(Fraction(1, 4), 0, "U must be > 0", id="u-zero"),
+        pytest.param(Fraction(1, 4), Fraction(-1, 2), "U must be > 0", id="u-negative"),
+    ],
+)
+def test_experiment_config_rejects_out_of_range_points(mir, u, message):
+    with pytest.raises(InvariantError, match=message):
+        ExperimentConfig(m=4, mir=mir, u=u)
+
+
 class TestGeneration:
     def test_shape(self):
         pset = _set()
@@ -378,6 +392,39 @@ class TestDynamicPolicy:
                 assert start + res.span == outcome.completions[part.id]
                 start += res.span
             assert start <= horizon
+
+    def test_hypotheses_are_computed_at_start_or_after_a_vector_change(self, monkeypatch):
+        # A partition's first view, at the event it starts, is the current
+        # vector alone. It is viewed again only when the vector changes, so
+        # the intervals built since its start end in a vector other than
+        # the unbounded tail's. A hypothesis computed at any other moment
+        # breaks one of the two.
+        views = []
+        span_within = ima._span_within
+
+        def recording(part, start, schedule, config):
+            views[-1].append((part.id, schedule.intervals))
+            return span_within(part, start, schedule, config)
+
+        monkeypatch.setattr(ima, "_span_within", recording)
+        mirs = (Fraction(15, 100), Fraction(1, 4), Fraction(1, 2))
+        us = tuple(Fraction(10 + 8 * k, 100) for k in range(11))
+        for m, mir, u in itertools.product((4, 8, 12), mirs, us):
+            cfg = ExperimentConfig(m=m, mir=mir, u=u)
+            views.append([])
+            policy_dy(generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, 0))), cfg)
+        starts = later = 0
+        for set_views in views:
+            seen = set()
+            for pid, (*built, tail) in set_views:
+                if pid in seen:
+                    later += 1
+                    assert built and built[-1].budgets != tail.budgets
+                else:
+                    starts += 1
+                    seen.add(pid)
+                    assert built == []
+        assert starts > later > 0
 
     def test_unschedulable_set_reports_no_schedule(self):
         cfg = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(95, 100))

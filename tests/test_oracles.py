@@ -158,3 +158,9 @@ def _composition(rng: random.Random, total: int, m: int) -> tuple[int, ...]:
     cuts = sorted(rng.sample(range(1, total), m - 1))
     edges = [0, *cuts, total]
     return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize(("memory", "span"), [(-1, 2), (3, -1)])
+def test_max_stall_rejects_negative_inputs(memory, span):
+    with pytest.raises(InvariantError, match="must be >= 0"):
+        oracle_max_stall(memory, span, build_raw_points(EVEN4, 1))

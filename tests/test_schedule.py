@@ -324,3 +324,23 @@ def test_repo_scenarios_parse(tmp_path):
     for name in ("static_worked_example.json", "dynamic_worked_example.json"):
         sc = load_scenario(f"scenarios/{name}")
         assert sc.config.transactions_per_period == 16
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(lambda: Workload(execution=1, memory=-1), "mu must be an integer >= 0", id="negative-mu"),
+        pytest.param(lambda: Workload(execution=1, memory=0, deadline=Fraction(0)), "deadline must be > 0", id="zero-deadline"),
+        pytest.param(lambda: BudgetInterval(budgets=VEC, length=0), "length must be an integer >= 1", id="zero-length"),
+        pytest.param(
+            lambda: RegulationConfig(period=Fraction(16), l_max=Fraction(1), q_total=0), "q_total override", id="zero-q"
+        ),
+        pytest.param(
+            lambda: RegulationConfig(period=Fraction(1), l_max=Fraction(2)), "at least one transaction", id="latency-over-period"
+        ),
+        pytest.param(lambda: split_span(THREE_INTERVALS, -1), "span must be >= 0", id="negative-span"),
+    ],
+)
+def test_invariant_checks(build, message):
+    with pytest.raises(InvariantError, match=message):
+        build()

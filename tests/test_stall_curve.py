@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from membw import (
     BudgetVector,
     InvariantError,
+    RawStallPoints,
     Segment,
     StallCurve,
     build_raw_points,
@@ -200,3 +201,27 @@ def test_curve_requires_valid_core():
 
 def test_envelope_instance_is_stall_curve():
     assert isinstance(curve_for_core(VEC, 3), StallCurve)
+
+
+def _curve(q, segments):
+    return StallCurve(core=1, q=q, segments=tuple(Segment(start=x, value=y, rise=r, width=w) for x, y, r, w in segments))
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(lambda: RawStallPoints(core=1, values=(0,)), "need q", id="raw-one-point"),
+        pytest.param(lambda: RawStallPoints(core=1, values=(1, 2)), r"I\(0\) must be 0", id="raw-nonzero-origin"),
+        pytest.param(lambda: RawStallPoints(core=1, values=(0, 3, 2)), "non-decreasing", id="raw-decreasing"),
+        pytest.param(lambda: _curve(2, ()), "at least one segment", id="curve-empty"),
+        pytest.param(lambda: _curve(2, ((0, 1, 2, 2),)), r"must start at \(0, 0\)", id="curve-off-origin"),
+        pytest.param(lambda: _curve(3, ((0, 0, 2, 1), (2, 2, 1, 1))), "without gaps", id="curve-gap"),
+        pytest.param(lambda: _curve(2, ((0, 0, 2, 2), (2, 2, 1, 0))), "widths must be >= 1", id="curve-zero-width"),
+        pytest.param(lambda: _curve(3, ((0, 0, 2, 2),)), "domain is", id="curve-short-domain"),
+        pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, -1), "outside feasible range", id="ratio-negative"),
+        pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, 11), "outside feasible range", id="ratio-over-q"),
+    ],
+)
+def test_invariant_checks(build, message):
+    with pytest.raises(InvariantError, match=message):
+        build()

@@ -161,3 +161,15 @@ def test_seeded_regression_batch():
         wl = Workload(execution=rng.randint(1, 60), memory=rng.randint(0, 80))
         spans.append(analyze_static(wl, budgets, core, config_for(budgets)).span)
     assert spans == [17, 80, 8, 14, 1, 3, 73, 68, 8, 10, 27, 72]
+
+
+@pytest.mark.parametrize(
+    ("deadline", "status"),
+    [(None, AnalysisStatus.CONVERGED), (Fraction(159), AnalysisStatus.DEADLINE_MISS)],
+)
+def test_static_results_have_no_breakdown(deadline, status):
+    # One vector, no intervals to break the stall over; a miss has no stall.
+    result = analyze_static(Workload(execution=40, memory=35, deadline=deadline), VEC, 3, CFG16)
+    assert result.status is status
+    assert result.breakdown is None
+    assert (result.total_stall is None) == (status is AnalysisStatus.DEADLINE_MISS)
