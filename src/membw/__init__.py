@@ -5,7 +5,16 @@ Public surface: stall curves (:mod:`membw.stall_curve`), the schedule model
 (:mod:`membw.oracles`), and the IMA experiment harness (:mod:`membw.ima`).
 """
 
-from .dynamic_analysis import MemoryAssignment, analyze_dynamic, distribute_memory, stall_breakdown
+from .dynamic_analysis import (
+    AnalysisResult,
+    AnalysisStatus,
+    IntervalBreakdown,
+    MemoryAssignment,
+    TraceEntry,
+    analyze_dynamic,
+    distribute_memory,
+    stall_breakdown,
+)
 from .errors import (
     InvariantError,
     MembwError,
@@ -14,7 +23,6 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .oracles import oracle_distribute, oracle_max_stall, worst_case_span_by_simulation
-from .results import AnalysisResult, AnalysisStatus, IntervalBreakdown, TraceEntry
 from .schedule import (
     BudgetInterval,
     MemorySchedule,

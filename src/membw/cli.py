@@ -2,8 +2,8 @@
 
 Subcommands: analyze-static, analyze-dynamic, dump-curve, oracle, experiment.
 Scenario-driven subcommands read a JSON scenario file and print JSON (plus
-optional CSV detail rows); experiment prints CSV. Validation problems exit
-with code 2 and a diagnostic naming the violated invariant. The argument
+optional CSV rows); experiment prints CSV. Validation problems exit with
+code 2 and a diagnostic naming the violated invariant. The argument
 parser is built once per process and serves every :func:`main` call.
 """
 
@@ -38,6 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = scenario_command("analyze-static", "span analysis under the scenario's single budget vector")
     p.add_argument("--trace", action="store_true", help="also print the iteration trace as CSV rows k,W,S")
+    # A static result has no breakdown.
+    p.set_defaults(breakdown=False)
 
     p = scenario_command("analyze-dynamic", "span analysis across the scenario's memory schedule")
     p.add_argument("--trace", action="store_true", help="also print the iteration trace as CSV rows k,W,S")
@@ -65,11 +67,19 @@ def _pick_core(scenario: Scenario, core: int | None) -> int:
     return cores[0]
 
 
-def _print_trace(result) -> None:
-    # Streamed from the run record: a long climb never builds its trace.
-    print("k,W,S")
-    for k, (span, num, den) in enumerate(result.iterates()):
-        print(f"{k},{span},{Fraction(num, den)}")
+def _report(args, core: int, result) -> int:
+    """Print an analyze-* result as JSON, then the CSV rows its flags ask for."""
+    print(json.dumps({"command": args.command, "core": core, **result.to_json_dict()}, indent=2))
+    if args.trace:
+        # Streamed from the run record: a long climb never builds its trace.
+        print("k,W,S")
+        for k, (span, num, den) in enumerate(result.iterates()):
+            print(f"{k},{span},{Fraction(num, den)}")
+    if args.breakdown and result.breakdown is not None:
+        print("interval,W,mu,S")
+        for row in result.breakdown:
+            print(f"{row.interval},{row.span},{row.memory},{row.stall}")
+    return 0
 
 
 def _cmd_analyze_static(args) -> int:
@@ -82,28 +92,14 @@ def _cmd_analyze_static(args) -> int:
         )
     workload = scenario.workload_for_core(core)
     budgets = scenario.schedule.intervals[0].budgets
-    result = analyze_static(workload, budgets, core, scenario.config)
-    doc = {"command": "analyze-static", "core": core, **result.to_json_dict()}
-    print(json.dumps(doc, indent=2))
-    if args.trace:
-        _print_trace(result)
-    return 0
+    return _report(args, core, analyze_static(workload, budgets, core, scenario.config))
 
 
 def _cmd_analyze_dynamic(args) -> int:
     scenario = load_scenario(args.scenario)
     core = _pick_core(scenario, args.core)
     workload = scenario.workload_for_core(core)
-    result = analyze_dynamic(workload, scenario.schedule, core, scenario.config)
-    doc = {"command": "analyze-dynamic", "core": core, **result.to_json_dict()}
-    print(json.dumps(doc, indent=2))
-    if args.trace:
-        _print_trace(result)
-    if args.breakdown and result.breakdown is not None:
-        print("interval,W,mu,S")
-        for row in result.breakdown:
-            print(f"{row.interval},{row.span},{row.memory},{row.stall}")
-    return 0
+    return _report(args, core, analyze_dynamic(workload, scenario.schedule, core, scenario.config))
 
 
 def _cmd_dump_curve(args) -> int:
@@ -138,17 +134,20 @@ def _cmd_oracle(args) -> int:
     result = analyze_dynamic(workload, scenario.schedule, core, scenario.config)
     doc = {"command": "oracle", "core": core, "analysis": result.to_json_dict()}
     if result.converged:
-        # The converged analysis's own split and greedy assignment, and the curves of the reached intervals.
-        splits, greedy, curves = result.detail
+        # The converged analysis's own split W^j and greedy assignment mu^j.
+        # The span reaches a prefix of the intervals.
+        rows = result.breakdown
+        splits = tuple(row.span for row in rows)
+        reached = scenario.schedule.intervals[: len(splits) - splits.count(0)]
         # Raw points take O(q) each: refuse an over-guard enumeration first, and build only the reached ones.
-        _check_assignment_space([w * curve.q for w, curve in zip(splits, curves)])
-        raws = tuple(build_raw_points(iv.budgets, core) for iv in scenario.schedule.intervals[: len(curves)])
+        _check_assignment_space([w * iv.budgets.budget_of(core) for w, iv in zip(splits, reached)])
+        raws = tuple(build_raw_points(iv.budgets, core) for iv in reached)
         greedy_value = result.total_stall
         oracle_value, oracle_assign = oracle_distribute(splits, workload.memory, raws)
         doc["greedy_objective"] = str(greedy_value)
         doc["oracle_objective"] = str(oracle_value)
         doc["oracle_assignment"] = list(oracle_assign)
-        doc["greedy_assignment"] = list(greedy.per_interval)
+        doc["greedy_assignment"] = [row.memory for row in rows]
         doc["objectives_match"] = greedy_value == oracle_value
     print(json.dumps(doc, indent=2))
     return 0
@@ -179,8 +178,12 @@ def _plot_script(rows, csv_path: str) -> str:
 
 
 def _cmd_experiment(args) -> int:
-    if args.plot and not args.out:
-        raise MembwError("--plot requires --out (the script references the CSV file)")
+    if args.plot:
+        if not args.out:
+            raise MembwError("--plot requires --out (the script references the CSV file)")
+        plot_path = os.path.splitext(args.out)[0] + ".plt"
+        if os.path.realpath(plot_path) == os.path.realpath(args.out):
+            raise MembwError(f"--plot would write its script over the CSV {args.out}; give --out another extension")
     sweep = preset_sweep(args.preset, args.seed)
     rows = run_sweep(sweep)
     csv_text = rows_to_csv(rows, args.seed)
@@ -191,7 +194,6 @@ def _cmd_experiment(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.plot:
-        plot_path = os.path.splitext(args.out)[0] + ".plt"
         with open(plot_path, "w", encoding="utf-8") as fh:
             fh.write(_plot_script(rows, args.out))
         print(f"wrote plot script to {plot_path}", file=sys.stderr)

@@ -20,12 +20,13 @@ and the breakdown take curves for that reached prefix only. An unreached
 interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
-that both analyzers run. They differ only in the stall term S(W) they pass
-in: the split + greedy S above here, the single-curve term in
-:mod:`membw.static_analysis`. The loop takes integers; the public analyzers
-check Q against the config and turn the deadline into periods first, and
-the IMA policies, whose inputs generation guarantees, call the split +
-greedy kernel behind :func:`analyze_dynamic` directly.
+that both analyzers run, and the record it writes, :class:`AnalysisResult`.
+The analyzers differ only in the stall term S(W) they pass in: the split +
+greedy S above here, the single-curve term in :mod:`membw.static_analysis`.
+The loop takes integers; the public analyzers check Q against the config
+and turn the deadline into periods first, and the IMA policies, whose
+inputs generation guarantees, call the split + greedy kernel behind
+:func:`analyze_dynamic` directly.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in
@@ -46,14 +47,15 @@ costs O(runs), not O(n), in time and in record size.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+import enum
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heapreplace
 
 from .errors import InvariantError, ScheduleExhaustedError
-from .results import AnalysisResult, AnalysisStatus
-from .schedule import MemorySchedule, RegulationConfig, Workload, _check_reached_prefix, deadline_periods, split_span
+from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
 from .stall_curve import StallCurve, curve_for_core
 
 
@@ -76,6 +78,15 @@ class MemoryAssignment:
     @property
     def total(self) -> int:
         return sum(self.per_interval)
+
+
+def _check_reached_prefix(caller: str, splits: tuple[int, ...], per_interval: tuple) -> None:
+    """Raise :class:`InvariantError` unless ``per_interval`` (curves or raw
+    points) covers the reached prefix of ``splits``: at most one entry per
+    split, and one for every nonzero split."""
+    k = len(per_interval)
+    if k > len(splits) or any(splits[k:]):
+        raise InvariantError(f"{caller}: {k} curves do not cover the reached prefix of {len(splits)} splits")
 
 
 def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallCurve, ...]) -> MemoryAssignment:
@@ -226,6 +237,107 @@ def _dynamic_span(
     return _fixed_point(execution + memory, limit, schedule.q_total, stall_term)
 
 
+class AnalysisStatus(enum.Enum):
+    CONVERGED = "converged"
+    DEADLINE_MISS = "deadline-miss"
+    SCHEDULE_EXHAUSTED = "schedule-exhausted"
+
+
+@dataclass(frozen=True, slots=True)
+class TraceEntry:
+    """One fixed-point iterate: span candidate W_(k) and the cumulative stall
+    S_(k) computed from the previous iterate (0 for the seed entry k = 0)."""
+
+    k: int
+    span: int
+    stall: Fraction
+
+
+@dataclass(frozen=True, slots=True)
+class IntervalBreakdown:
+    """Converged per-interval detail: periods W^j, memory mu^j, stall S^j."""
+
+    interval: int
+    span: int
+    memory: int
+    stall: Fraction
+
+
+@dataclass(frozen=True)
+class AnalysisResult:
+    """Outcome of a span analysis: the record :func:`_fixed_point` wrote.
+
+    ``span`` is the converged worst-case span in periods (CONVERGED), or the
+    first deadline-violating iterate (DEADLINE_MISS). ``length_slots`` =
+    span * Q, only on convergence. ``shortfall`` is set only for
+    SCHEDULE_EXHAUSTED. ``raw`` holds the iterates produced, in order: one
+    iterate as the integers (span, stall numerator, stall denominator), a
+    run of iterates as (span, stall numerator, stall denominator, span step,
+    numerator step, count), whose iterate i, 0 <= i < count, has the span
+    span + i * span step and the stall (numerator + i * numerator step) /
+    denominator. ``detail`` is the converged dynamic term's ``(splits,
+    assignment, curves)``, curves for the reached prefix only, or None.
+
+    :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
+    built from ``raw`` and ``detail`` when first read and cached, so callers
+    that read only ``status`` and ``span`` pay for neither. Equality,
+    hashing, ``repr`` and pickling come from the fields, that is from the
+    record, not from the built trace.
+    """
+
+    status: AnalysisStatus
+    span: int | None
+    length_slots: int | None
+    raw: tuple[tuple[int, ...], ...] = field(repr=False)
+    detail: tuple | None = field(default=None, repr=False)
+    shortfall: int | None = None
+
+    def iterates(self) -> Iterator[tuple[int, int, int]]:
+        """Every iterate in order, as (span, stall numerator, stall denominator)."""
+        for span, num, den, *run in self.raw:
+            span_step, num_step, count = run or (0, 0, 1)
+            for i in range(count):
+                yield span + i * span_step, num + i * num_step, den
+
+    @cached_property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        return tuple(TraceEntry(k=k, span=s, stall=Fraction(n, d)) for k, (s, n, d) in enumerate(self.iterates()))
+
+    @cached_property
+    def breakdown(self) -> tuple[IntervalBreakdown, ...] | None:
+        if self.detail is None:
+            return None
+        splits, assignment, curves = self.detail
+        rows = zip(splits, assignment.per_interval, stall_breakdown(splits, assignment, curves))
+        return tuple(IntervalBreakdown(j, w, mu, stall) for j, (w, mu, stall) in enumerate(rows, 1))
+
+    @property
+    def converged(self) -> bool:
+        return self.status is AnalysisStatus.CONVERGED
+
+    @property
+    def total_stall(self) -> Fraction | None:
+        """Cumulative stall at the fixed point."""
+        if not self.converged:
+            return None
+        # The fixed point's entry is a single iterate.
+        _, num, den = self.raw[-1]
+        return Fraction(num, den)
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {"status": self.status.value}
+        if self.span is not None:
+            doc["span_periods"] = self.span
+        if self.length_slots is not None:
+            doc["length_slots"] = self.length_slots
+        if self.converged:
+            doc["total_stall"] = str(self.total_stall)
+        if self.shortfall is not None:
+            doc["shortfall_periods"] = self.shortfall
+        doc["iterations"] = sum(entry[5] if len(entry) > 3 else 1 for entry in self.raw) - 1
+        return doc
+
+
 def _fixed_point(
     beta: int,
     limit: int | None,
@@ -260,12 +372,31 @@ def _fixed_point(
     in O(1). Here ``last`` is clamped to the largest span the loop admits:
     the deadline in periods, or the defensive cap beta + 1 without one. The
     loop takes that path only when the stride holds W + d too, so an iterate
-    outside a stride, or at its end, costs one plain step. The record holds
-    an iterate as the integers (next span, stall numerator, den) and a run
-    as one entry (first next span, first stall numerator, den, span step,
-    numerator step, count). The result keeps the detail of the fixed
-    point's ``stall_term`` call and builds its trace and breakdown from the
-    record and that detail when they are read.
+    outside a stride, or at its end, costs one plain step. A run is one
+    entry of the result's ``raw`` (see :class:`AnalysisResult`). The result
+    keeps the detail of the fixed point's ``stall_term`` call and builds its
+    trace and breakdown from the record and that detail when they are read.
+
+    The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
+    with beta + S(W) <= Q * W. Both analyzers' S(W) is the most stall mu
+    transactions can cause over W periods, each interval j stalling
+    g^j(W^j, mu^j) = W^j * I^j(mu^j / W^j) with mu^j <= W^j * q^j. As I^j is
+    concave with I^j(0) = 0, g^j is concave and non-decreasing in W^j, and
+    one more period raises it by at most a tangent's intercept, at most
+    I^j(q^j) = Q - q^j. Let period W + 1 fall in interval j. An assignment
+    optimal at W stays feasible at W + 1, and one optimal at W + 1, cut to
+    the capacity W^j * q^j in j, is feasible at W and gives up at most
+    Q - q^j. So 0 <= S(W + 1) - S(W) <= Q - q^j. Hence the map
+    f(W) = ceil((beta + S(W)) / Q) is monotone, and Q * W - beta - S(W)
+    grows by at least q^j >= 1 per period, so the roots are every W from
+    the least one, R, on. An iterate below R is no root, so f lifts it by at
+    least one period, and f(W) <= f(R) <= R keeps it at most R: the
+    iterates climb to R and stop there. The deadline check therefore sees
+    a miss exactly when R exceeds the deadline, and then no span up to the
+    deadline fits. A bounded schedule that ends below R has no root to
+    reach: its first iterate past the end is schedule exhaustion, or a
+    miss if it passes the deadline too. The tests check these claims
+    against a plain scan.
 
     The loop's one convergence guard rests on this contract: a term reports
     a stride exactly when it is saturated, that is when the memory demand

@@ -284,7 +284,7 @@ def policy_su(pset: PartitionSet, config: ExperimentConfig) -> BudgetVector:
     return split_budget_by_weights(config.q_total, _memory_weights(config.m, pset.partitions))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DynamicPolicyOutcome:
     """What the DY co-analysis produced.
 
@@ -293,9 +293,12 @@ class DynamicPolicyOutcome:
     to its completion period for every partition that finished within H.
     """
 
-    schedulable: bool
     schedule: MemorySchedule | None
     completions: dict[int, int]
+
+    @property
+    def schedulable(self) -> bool:
+        return self.schedule is not None
 
 
 def _reclaim_vector(base: BudgetVector, unfinished: list[Partition]) -> BudgetVector:
@@ -361,7 +364,7 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
         if not pending:
             # Every running partition misses under the current vector and no
             # completion will ever change it.
-            return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
+            return DynamicPolicyOutcome(schedule=None, completions=completions)
 
         t_next = min(pending)
         if not current_start < t_next <= horizon:
@@ -374,7 +377,7 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
             if queue:
                 if t_next >= horizon:
                     # Successor would start at (or past) the deadline.
-                    return DynamicPolicyOutcome(schedulable=False, schedule=None, completions=completions)
+                    return DynamicPolicyOutcome(schedule=None, completions=completions)
                 starts[core] = (t_next, len(built))
         next_vec = _reclaim_vector(base, [part for queue in queues.values() for part in queue])
         if next_vec != current_vec:
@@ -383,7 +386,7 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
         current_start = t_next
 
     schedule = MemorySchedule(intervals=(*built, BudgetInterval(budgets=current_vec, length=None)))
-    return DynamicPolicyOutcome(schedulable=True, schedule=schedule, completions=completions)
+    return DynamicPolicyOutcome(schedule=schedule, completions=completions)
 
 
 def _hypothesize_span(

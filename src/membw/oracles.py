@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .dynamic_analysis import _check_reached_prefix
 from .errors import InvariantError, OracleTooLargeError
-from .schedule import MemorySchedule, Workload, _check_reached_prefix
+from .schedule import MemorySchedule, Workload
 from .stall_curve import RawStallPoints, build_raw_points, concave_envelope
 
 ENUMERATION_GUARD = 10**7

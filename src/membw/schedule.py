@@ -156,15 +156,6 @@ def split_span(schedule: MemorySchedule, span: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _check_reached_prefix(caller: str, splits: tuple[int, ...], per_interval: tuple) -> None:
-    """Raise :class:`InvariantError` unless ``per_interval`` (curves or raw
-    points) covers the reached prefix of ``splits``: at most one entry per
-    split, and one for every nonzero split."""
-    k = len(per_interval)
-    if k > len(splits) or any(splits[k:]):
-        raise InvariantError(f"{caller}: {k} curves do not cover the reached prefix of {len(splits)} splits")
-
-
 def deadline_periods(workload: Workload, config: RegulationConfig) -> int:
     """Greatest span (in periods) whose duration still meets the deadline.
 

@@ -182,10 +182,9 @@ class StallCurve:
 
         The stall is value * span + rise * (memory - start * span) / width on
         the segment that ``memory / span`` falls on; the ratio keeps that
-        segment's width as denominator (1 for ``span == 0``).
+        segment's width as denominator. A span of 0 holds no memory: its
+        stall is 0.
         """
-        if span == 0:
-            return 0, 1
         if memory < 0 or memory > span * self.q:
             raise InvariantError(f"memory {memory} outside feasible range [0, {span * self.q}] for span {span}")
         # The segment whose scaled domain [start * span, end * span] holds

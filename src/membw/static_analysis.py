@@ -27,8 +27,7 @@ detail, so a static result's ``breakdown`` is None.
 
 from __future__ import annotations
 
-from .dynamic_analysis import _fixed_point, _limit
-from .results import AnalysisResult
+from .dynamic_analysis import AnalysisResult, _fixed_point, _limit
 from .schedule import RegulationConfig, Workload
 from .stall_curve import BudgetVector, curve_for_core
 

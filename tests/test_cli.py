@@ -284,6 +284,19 @@ class TestExperiment:
         assert out == ""
         assert "--plot requires --out" in err
 
+    def test_plot_over_the_csv_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        # --out x.plt names the script's own path: the script would overwrite the CSV.
+        def no_sweep(sweep):
+            pytest.fail("the sweep ran before the plot path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        for out_path in ("x.plt", str(tmp_path / "x.plt")):
+            code, out, err = run(capsys, "experiment", "--preset", "smoke", "--seed", "7", "--out", out_path, "--plot")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --plot would write its script over the CSV")
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_script_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBW_THREADS", "1")
         out_file = tmp_path / "smoke.csv"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import membw
 from membw import (
     AnalysisStatus,
     BudgetInterval,
@@ -401,6 +402,11 @@ def test_fixed_point_guards(stall_term, message):
         _fixed_point(10, None, 10, stall_term)
 
 
+def test_the_record_lives_with_the_loop():
+    for name in ("AnalysisResult", "AnalysisStatus", "TraceEntry", "IntervalBreakdown"):
+        assert getattr(membw, name) is getattr(dynamic_analysis, name)
+
+
 def test_fixed_point_keeps_the_converged_detail():
     detail = ("splits", "assignment", "curves")
     result = _fixed_point(10, None, 10, lambda w: (0, 1, detail, None))
@@ -698,11 +704,11 @@ def test_cutting_an_interval_in_two_changes_nothing(inst):
 
 
 @st.composite
-def schedule_and_workload(draw):
-    """A 1-6 interval schedule (open or fully bounded) and a workload with or
-    without a deadline."""
-    m = draw(st.integers(2, 4))
-    n = draw(st.integers(1, 6))
+def schedule_and_workload(draw, cores=(2, 4), intervals=(1, 6)):
+    """A schedule over ``cores`` cores with ``intervals`` intervals (open or
+    fully bounded), and a workload with or without a deadline."""
+    m = draw(st.integers(*cores))
+    n = draw(st.integers(*intervals))
     vectors = _draw_vectors(draw, m, n)
     total = vectors[0].total
     lengths = [draw(st.integers(1, 6)) for _ in range(n - 1)]
@@ -727,6 +733,62 @@ def test_trace_is_self_consistent(inst):
         stall = sum(stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves))
         assert entry.stall == stall
         assert entry.span == math.ceil((wl.beta + stall) / schedule.q_total)
+
+
+def _interval_holding(schedule, period):
+    """Index of the interval that holds period ``period`` (1-based)."""
+    splits = split_span(schedule, period)
+    return len(splits) - splits.count(0) - 1
+
+
+@given(schedule_and_workload(cores=(2, 6), intervals=(1, 5)))
+@settings(max_examples=200, deadline=None)
+def test_the_span_is_the_least_root(inst):
+    # Both analyzers, each against its own S(W) computed afresh: the dynamic
+    # one across the schedule, the static one under its first vector.
+    schedule, core, cfg, wl = inst
+    q_total, beta, memory = schedule.q_total, wl.beta, wl.memory
+    curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
+    first = curves[0]
+    lengths = [iv.length for iv in schedule.intervals]
+    limit = None if wl.deadline is None else deadline_periods(wl, cfg)
+    cases = [
+        (
+            analyze_dynamic(wl, schedule, core, cfg),
+            lambda w: Fraction(*distribute_memory(split_span(schedule, w), memory, curves).stall),
+            lambda period: curves[_interval_holding(schedule, period)].q,
+            None if None in lengths else sum(lengths),
+        ),
+        (
+            analyze_static(wl, schedule.intervals[0].budgets, core, cfg),
+            lambda w: Fraction(*first.stall_ratio(w, min(memory, w * first.q))),
+            lambda period: first.q,
+            None,
+        ),
+    ]
+    for result, stall, q_of, covered in cases:
+        # 0 <= S(W + 1) - S(W) <= Q - q^j, period W + 1 in interval j.
+        top = result.span + 2 if covered is None else min(result.span + 2, covered - 1)
+        for w in range(top + 1):
+            assert 0 <= stall(w + 1) - stall(w) <= q_total - q_of(w + 1)
+        # A converging span is at most beta + 1 periods, so an open schedule
+        # is scanned that far.
+        end = beta + 1 if covered is None else covered
+        root = next((w for w in range(-(-beta // q_total), end + 1) if beta + stall(w) <= q_total * w), None)
+        # Only a bounded schedule can end below every root.
+        assert root is not None or covered is not None
+        if root is not None and (limit is None or root <= limit):
+            assert (result.status, result.span) == (AnalysisStatus.CONVERGED, root)
+        elif result.status is AnalysisStatus.DEADLINE_MISS:
+            # The first iterate past the deadline, and no iterate passes the root.
+            assert limit is not None and limit < result.span
+            assert root is None or result.span <= root
+        else:
+            # The iterates outgrew the schedule before the deadline.
+            assert root is None
+            assert result.status is AnalysisStatus.SCHEDULE_EXHAUSTED
+            assert result.span == covered + result.shortfall > covered
+            assert limit is None or result.span <= limit
 
 
 def test_generous_prefix_budget_never_hurts():

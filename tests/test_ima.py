@@ -25,6 +25,7 @@ from membw import ima
 from membw.errors import InvariantError
 from membw.ima import (
     POLICIES,
+    DynamicPolicyOutcome,
     ExperimentConfig,
     Partition,
     PartitionSet,
@@ -334,6 +335,15 @@ class TestDynamicPolicy:
         for interval in outcome.schedule.intervals:
             assert sum(interval.budgets.budgets) == 41666
             assert all(b >= 1 for b in interval.budgets.budgets)
+
+    def test_outcome_reads_schedulable_off_its_schedule(self):
+        ok = policy_dy(_set(3), CFG)
+        failed = DynamicPolicyOutcome(schedule=None, completions={})
+        assert (ok.schedulable, failed.schedulable) == (True, False)
+        assert [f.name for f in dataclasses.fields(ok)] == ["schedule", "completions"]
+        assert not hasattr(ok, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ok.schedule = None
 
     def test_active_cores_never_drop_below_initial_share(self):
         pset = _set(3)

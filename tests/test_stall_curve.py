@@ -220,6 +220,7 @@ def _curve(q, segments):
         pytest.param(lambda: _curve(3, ((0, 0, 2, 2),)), "domain is", id="curve-short-domain"),
         pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, -1), "outside feasible range", id="ratio-negative"),
         pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, 11), "outside feasible range", id="ratio-over-q"),
+        pytest.param(lambda: curve_for_core(VEC, 3).stall_over(0, 5), "outside feasible range", id="ratio-span-zero"),
     ],
 )
 def test_invariant_checks(build, message):
