@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import shlex
 import sys
 from fractions import Fraction
 
@@ -168,10 +169,13 @@ def _plot_script(rows, csv_path: str) -> str:
         "set yrange [0:1.05]",
         "set key outside",
     ]
-    plots = [
-        f"    \"< grep '^{policy},{m},{mir},' {csv_path}\" using 4:7 with linespoints title '{policy} m={m} MIr={mir}'"
-        for policy, m, mir in series
-    ]
+    # The path is quoted for the shell, and the command escaped for
+    # gnuplot's double-quoted string, so spaces and quotes survive both.
+    path = shlex.quote(csv_path)
+    plots = []
+    for policy, m, mir in series:
+        command = f"< grep '^{policy},{m},{mir},' {path}".replace("\\", "\\\\").replace('"', '\\"')
+        plots.append(f"    \"{command}\" using 4:7 with linespoints title '{policy} m={m} MIr={mir}'")
     lines.append("plot \\")
     lines.append(", \\\n".join(plots))
     return "\n".join(lines) + "\n"

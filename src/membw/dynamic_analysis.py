@@ -80,13 +80,17 @@ class MemoryAssignment:
         return sum(self.per_interval)
 
 
-def _check_reached_prefix(caller: str, splits: tuple[int, ...], per_interval: tuple) -> None:
-    """Raise :class:`InvariantError` unless ``per_interval`` (curves or raw
-    points) covers the reached prefix of ``splits``: at most one entry per
-    split, and one for every nonzero split."""
-    k = len(per_interval)
-    if k > len(splits) or any(splits[k:]):
-        raise InvariantError(f"{caller}: {k} curves do not cover the reached prefix of {len(splits)} splits")
+def _check_reached_prefix(caller: str, what: str, splits: tuple[int, ...], per_interval: tuple) -> None:
+    """Raise :class:`InvariantError` unless ``per_interval`` covers the
+    reached prefix of ``splits``: at most one entry per split, and one for
+    every nonzero split. ``what`` names one entry (a curve, a raw point set)
+    for the message."""
+    k, n = len(per_interval), len(splits)
+    if k > n or any(splits[k:]):
+        raise InvariantError(
+            f"{caller}: {k} {what}{' does' if k == 1 else 's do'} not cover "
+            f"the reached prefix of {n} split{'' if n == 1 else 's'}"
+        )
 
 
 def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallCurve, ...]) -> MemoryAssignment:
@@ -117,7 +121,7 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     """
     n = len(splits)
     if len(curves) != n:
-        _check_reached_prefix("distribute_memory", splits, curves)
+        _check_reached_prefix("distribute_memory", "curve", splits, curves)
     if memory < 0:
         raise InvariantError("distribute_memory: memory must be >= 0")
     for w in splits:
@@ -169,7 +173,7 @@ def stall_breakdown(
     :func:`distribute_memory`: only intervals with W^j > 0 read their curve,
     the rest have S^j = 0.
     """
-    _check_reached_prefix("stall_breakdown", splits, curves)
+    _check_reached_prefix("stall_breakdown", "curve", splits, curves)
     return tuple(
         curves[j].stall_over(splits[j], assignment.per_interval[j]) if splits[j] > 0 else Fraction(0)
         for j in range(len(splits))

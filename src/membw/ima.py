@@ -36,6 +36,14 @@ Policies:
   finishes its last partition; from then on any completion can shift the
   live cores' weights and with them the vector.
 
+Every analysis here is of a view that ends in an unbounded vector, and
+needs only its span or a miss. A view of one vector (every SE and SU
+analysis, and DY's at a partition's start) takes the closed-form least
+root of :mod:`membw.static_analysis`; a longer one (DY's after a vector
+change) runs the split + greedy fixed-point kernel of
+:mod:`membw.dynamic_analysis`. Both give the span the public analyzers
+give.
+
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
 per-core utilizations come from UUniFast (exact rational sum U); memory
@@ -70,6 +78,7 @@ from .dynamic_analysis import _dynamic_span
 from .errors import InvariantError
 from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
 from .stall_curve import BudgetVector
+from .static_analysis import _static_span
 
 POLICIES = ("SE", "SU", "DY")
 
@@ -418,10 +427,19 @@ def _hypothesize_span(
 
 
 def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
-    """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H."""
+    """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H.
+
+    Every view here ends in an unbounded interval. A one-interval view (SE,
+    SU, and DY at a partition's start) is solved in closed form by
+    ``_static_span``; a longer one (DY after a vector change) runs the
+    split + greedy kernel ``_dynamic_span``. Both give the least root.
+    """
     # Generation guarantees E >= 1 and mu >= 0 and every schedule here is
-    # over the config's Q, so the kernel runs without the public checks.
-    result = _dynamic_span(schedule, part.core, part.execution, part.memory, config.hyperperiod_periods - start)
+    # over the config's Q, so the solvers run without the public checks.
+    limit = config.hyperperiod_periods - start
+    if len(schedule.intervals) == 1:
+        return _static_span(schedule.intervals[0].budgets, part.core, part.execution, part.memory, limit)
+    result = _dynamic_span(schedule, part.core, part.execution, part.memory, limit)
     return result.span if result.converged else None
 
 

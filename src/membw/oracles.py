@@ -71,7 +71,7 @@ def oracle_distribute(
     matching the greedy's lowest-index tie-breaking.
     """
     n = len(splits)
-    _check_reached_prefix("oracle_distribute", splits, raws)
+    _check_reached_prefix("oracle_distribute", "raw point set", splits, raws)
     caps = [w * raw.q for w, raw in zip(splits, raws)]
     _check_assignment_space(caps)
     curves = [concave_envelope(raw) for raw in raws]

@@ -23,11 +23,32 @@ this module supplies only its own single-curve stall term, which the tests
 and the benchmark use as the independent reference for the dynamic split +
 greedy stall term on one-interval schedules. The term carries no breakdown
 detail, so a static result's ``breakdown`` is None.
+
+The loop's span is the least root of beta + S(W) <= Q * W (the argument is
+in :func:`membw.dynamic_analysis._fixed_point`'s docstring: the roots are
+every W from the least one on), and under one unbounded vector that root
+has a closed form, :func:`_static_span`. On the curve segment (start s,
+value y, rise r, width w) that the rate mu / W falls on, s * W <= mu and
+S(W) = y * W + r * (mu - s * W) / w, so W is a root exactly when
+
+    beta * w + r * mu <= W * (Q * w - y * w + r * s).
+
+The coefficient is w times Q less the tangent's intercept y - r * s / w,
+which lies in [0, Q - q] (the curve is concave, non-decreasing, with I(0) = 0
+and at most Q - q), so it is at least w * q > 0 and the piece's least root is
+one ceiling division. No root is saturated (there S(W) = (Q - q) * W and
+beta > q * W), so the solve starts at W = max(ceil(beta / Q), ceil(mu / q))
+on the last segment. Where a piece's least root lies past its range
+(s * W > mu), no W in that range is a root, and the solve moves to
+W = ceil(mu / s) and the segments below. The first segment has s = 0, so
+the walk ends there at the latest: O(m) steps for a curve of at most m
+segments, and no loop, result or trace.
 """
 
 from __future__ import annotations
 
 from .dynamic_analysis import AnalysisResult, _fixed_point, _limit
+from .errors import InvariantError
 from .schedule import RegulationConfig, Workload
 from .stall_curve import BudgetVector, curve_for_core
 
@@ -52,3 +73,32 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
         return num, den, None, ((budgets.total - q) * den, memory // q)
 
     return _fixed_point(workload.beta, _limit(workload, budgets.total, config), budgets.total, stall_term)
+
+
+def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, limit: int | None) -> int | None:
+    """:func:`analyze_static`'s converged span in closed form, or None where
+    it misses ``limit`` periods (None for no deadline).
+
+    Inputs are already known valid: E >= 1, mu >= 0. See the module
+    docstring for the solve. A first iterate past ``limit`` is a miss
+    before any curve is built, as in the loop.
+    """
+    q_total = budgets.total
+    beta = execution + memory
+    span = -(-beta // q_total)
+    if limit is not None and span > limit:
+        return None
+    curve = curve_for_core(budgets, core)
+    span = max(span, -(-memory // curve.q))
+    for seg in reversed(curve.segments):
+        if seg.start * span > memory:
+            # The rate mu / span lies below this segment.
+            continue
+        coeff = (q_total - seg.value) * seg.width + seg.rise * seg.start
+        if coeff <= 0:
+            raise InvariantError(f"closed-form span: segment at {seg.start} has coefficient {coeff} <= 0")
+        root = max(span, -(-(beta * seg.width + seg.rise * memory) // coeff))
+        if seg.start * root <= memory:
+            break
+        span = -(-memory // seg.start)
+    return root if limit is None or root <= limit else None

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,27 @@ class TestExperiment:
         script = (tmp_path / "smoke.plt").read_text()
         assert "using 4:7" in script
         assert str(out_file) in script
+
+
+    @pytest.mark.parametrize("name", ["my results", "it's"])
+    def test_plot_commands_survive_spaces_and_quotes(self, capsys, tmp_path, monkeypatch, name):
+        # Each plot line's gnuplot string, unescaped and run through sh -c,
+        # prints exactly its series' CSV rows, in order.
+        monkeypatch.setenv("MEMBW_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "experiment", "--preset", "smoke", "--seed", "7", "--out", f"{name}.csv", "--plot")
+        assert code == 0
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[3:]
+        series = list(dict.fromkeys(",".join(row.split(",")[:3]) + "," for row in rows))
+        plots = [line for line in (tmp_path / f"{name}.plt").read_text().splitlines() if line.startswith('    "')]
+        assert len(plots) == len(series) == 3
+        for prefix, line in zip(series, plots):
+            body = re.match(r'    "((?:[^"\\]|\\.)*)"', line).group(1)
+            command = re.sub(r"\\(.)", r"\1", body)
+            assert command.startswith("< ")
+            shell = subprocess.run(["sh", "-c", command[2:]], cwd=tmp_path, capture_output=True, text=True)
+            assert (shell.returncode, shell.stderr) == (0, "")
+            assert shell.stdout.splitlines() == [row for row in rows if row.startswith(prefix)]
 
 
 class TestParserReuse:

@@ -114,10 +114,19 @@ class TestDistributeMemory:
         ],
     )
     def test_curves_must_cover_the_reached_prefix(self, splits, curves):
-        with pytest.raises(InvariantError, match="reached prefix"):
+        message = {
+            (5, 1, 0): "1 curve does not cover the reached prefix of 3 splits",
+            (5, 0, 1): "2 curves do not cover the reached prefix of 3 splits",
+            (5,): "0 curves do not cover the reached prefix of 1 split",
+            (5, 1): "3 curves do not cover the reached prefix of 2 splits",
+            (0,): "2 curves do not cover the reached prefix of 1 split",
+        }[splits]
+        with pytest.raises(InvariantError, match="reached prefix") as exc:
             distribute_memory(splits, 25, curves)
-        with pytest.raises(InvariantError, match="reached prefix"):
+        assert str(exc.value) == f"distribute_memory: {message}"
+        with pytest.raises(InvariantError, match="reached prefix") as exc:
             stall_breakdown(splits, MemoryAssignment((0,) * len(splits), False, (0, 1)), curves)
+        assert str(exc.value) == f"stall_breakdown: {message}"
 
 
 def _scan_distribute(splits, memory, curves):

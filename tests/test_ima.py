@@ -19,6 +19,7 @@ from membw import (
     TraceEntry,
     Workload,
     analyze_dynamic,
+    analyze_static,
     deadline_periods,
 )
 from membw import ima
@@ -569,19 +570,23 @@ class TestEvaluation:
             assert deadline_periods(workload, CFG.regulation) == horizon - start
 
     def test_policies_call_the_kernel_with_checked_inputs(self, monkeypatch):
-        # The policies hand the dynamic kernel E, mu and a limit of H - start
-        # periods and build no Workload; each call must give the very result
-        # the public analyzer gives on the Workload it stands for.
-        built, calls = [], []
+        # The policies hand the dynamic kernel and the closed form E, mu and
+        # a limit of H - start periods and build no Workload; each call must
+        # give the very answer the public analyzers give on the Workload it
+        # stands for.
+        built, calls, static_calls = [], [], []
         monkeypatch.setattr(Workload, "__init__", _counting(Workload.__init__, built))
-        kernel = ima._dynamic_span
 
-        def recording(*args):
-            result = kernel(*args)
-            calls.append((args, result))
-            return result
+        def recording(solver, record):
+            def recorded(*args):
+                result = solver(*args)
+                record.append((args, result))
+                return result
 
-        monkeypatch.setattr(ima, "_dynamic_span", recording)
+            return recorded
+
+        monkeypatch.setattr(ima, "_dynamic_span", recording(ima._dynamic_span, calls))
+        monkeypatch.setattr(ima, "_static_span", recording(ima._static_span, static_calls))
         for m, u in ((4, Fraction(27, 50)), (8, Fraction(19, 50)), (12, Fraction(3, 10))):
             cfg = ExperimentConfig(m=m, mir=Fraction(1, 4), u=u)
             for index in range(2):
@@ -594,6 +599,17 @@ class TestEvaluation:
             workload = Workload(execution=execution, memory=memory, deadline=limit * ExperimentConfig.period)
             assert analyze_dynamic(workload, schedule, core, ExperimentConfig.regulation) == result
             statuses.add(result.status)
+        assert static_calls
+        for (budgets, core, execution, memory, limit), span in static_calls:
+            workload = Workload(execution=execution, memory=memory, deadline=limit * ExperimentConfig.period)
+            for result in (
+                analyze_dynamic(workload, MemorySchedule.static(budgets), core, ExperimentConfig.regulation),
+                analyze_static(workload, budgets, core, ExperimentConfig.regulation),
+            ):
+                assert result.converged == (span is not None)
+                if result.converged:
+                    assert result.span == span
+                statuses.add(result.status)
         assert statuses == {AnalysisStatus.CONVERGED, AnalysisStatus.DEADLINE_MISS}
 
 

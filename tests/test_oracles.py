@@ -99,9 +99,17 @@ class TestDistributeEnumeration:
         ],
     )
     def test_raws_must_cover_the_reached_prefix(self, splits, count):
+        message = {
+            (5, 1, 0): "1 raw point set does not cover the reached prefix of 3 splits",
+            (5, 0, 1): "2 raw point sets do not cover the reached prefix of 3 splits",
+            (5,): "0 raw point sets do not cover the reached prefix of 1 split",
+            (5, 1): "3 raw point sets do not cover the reached prefix of 2 splits",
+            (0,): "2 raw point sets do not cover the reached prefix of 1 split",
+        }[splits]
         raws = tuple(build_raw_points(v, 3) for v in (VEC, BudgetVector((2, 3, 7, 4)), EVEN4))
-        with pytest.raises(InvariantError, match="reached prefix"):
+        with pytest.raises(InvariantError, match="reached prefix") as exc:
             oracle_distribute(splits, 25, raws[:count])
+        assert str(exc.value) == f"oracle_distribute: {message}"
 
 
 class TestSimulation:

@@ -12,14 +12,19 @@ from membw import (
     AnalysisStatus,
     BudgetVector,
     InvariantError,
+    MemorySchedule,
     RegulationConfig,
+    Segment,
     StallCurve,
     Workload,
+    analyze_dynamic,
     analyze_static,
     build_raw_points,
     curve_for_core,
     oracle_max_stall,
 )
+from membw import static_analysis
+from membw.static_analysis import _static_span
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
 VEC = BudgetVector((2, 2, 5, 7))
@@ -173,3 +178,102 @@ def test_static_results_have_no_breakdown(deadline, status):
     assert result.status is status
     assert result.breakdown is None
     assert (result.total_stall is None) == (status is AnalysisStatus.DEADLINE_MISS)
+
+
+@st.composite
+def closed_form_instances(draw):
+    """A vector over 1-8 cores (budgets down to 1), a core, E and mu (zero,
+    free, or a saturated start: mu >= ceil(beta / Q) * q), and a limit
+    (none, any, or below the first iterate ceil(beta / Q))."""
+    m = draw(st.integers(1, 8))
+    budgets = BudgetVector(tuple(draw(st.lists(st.one_of(st.just(1), st.integers(1, 300)), min_size=m, max_size=m))))
+    core = draw(st.integers(1, m))
+    total, q = budgets.total, budgets.budget_of(core)
+    execution = draw(st.integers(1, 20 * total))
+    kind = draw(st.sampled_from(("zero", "free", "saturated")))
+    if kind == "zero":
+        memory = 0
+    elif kind == "free" or q == total:
+        memory = draw(st.integers(0, 20 * total))
+    else:
+        # The least k with k * q <= k * Q - E, then a mu with ceil(beta / Q) = k
+        # and mu >= k * q; whole periods of Q more keep the start saturated.
+        k = -(-execution // (total - q))
+        memory = max(k * q, (k - 1) * total - execution + 1) + total * draw(st.integers(0, 5))
+        assert memory >= -(-(execution + memory) // total) * q
+    first = -(-(execution + memory) // total)
+    limit = draw(st.one_of(st.none(), st.integers(1, 200), st.integers(1, first)))
+    return budgets, core, execution, memory, limit
+
+
+def _analyzers_agree(budgets, core, execution, memory, limit):
+    """_static_span against both analyzers on the equivalent Workload: the
+    same converged flag, and the same span when converged."""
+    span = _static_span(budgets, core, execution, memory, limit)
+    cfg = config_for(budgets)
+    deadline = None if limit is None else Fraction(limit * budgets.total)
+    wl = Workload(execution=execution, memory=memory, deadline=deadline)
+    for result in (
+        analyze_static(wl, budgets, core, cfg),
+        analyze_dynamic(wl, MemorySchedule.static(budgets), core, cfg),
+    ):
+        assert result.converged == (span is not None)
+        if span is not None:
+            assert result.span == span
+    return span
+
+
+@given(closed_form_instances())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_span_matches_both_analyzers(inst):
+    _analyzers_agree(*inst)
+
+
+def test_closed_form_span_at_ima_scale():
+    # Q = 41,666 as in the IMA model, mu up to 10^7, limits within H = 128
+    # periods or none: both verdicts occur, and every answer agrees.
+    rng = random.Random(22)
+    total = 41666
+    outcomes = set()
+    for _ in range(150):
+        m = rng.randint(2, 16)
+        cuts = sorted(rng.sample(range(1, total), m - 1))
+        budgets = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        # Drop some cores to the 1-transaction floor, as DY's reclaimed
+        # vectors do; the last core takes what they held.
+        for i in rng.sample(range(m - 1), rng.randint(0, m - 1)):
+            budgets[-1] += budgets[i] - 1
+            budgets[i] = 1
+        vector = BudgetVector(tuple(budgets))
+        memory = rng.choice((0, rng.randint(0, 10**7), int(10 ** rng.uniform(0, 7))))
+        limit = rng.choice((None, rng.randint(1, 128)))
+        span = _analyzers_agree(vector, rng.randint(1, m), rng.randint(1, 64 * total), memory, limit)
+        outcomes.add(span is None)
+    assert outcomes == {False, True}
+
+
+def test_closed_form_miss_at_the_first_iterate_builds_no_curve(monkeypatch):
+    built = []
+
+    def counting(budgets, core):
+        built.append(core)
+        return curve_for_core(budgets, core)
+
+    monkeypatch.setattr(static_analysis, "curve_for_core", counting)
+    # beta = 33 over Q = 16: the first iterate is 3 periods, the span 5.
+    assert _static_span(VEC, 3, 20, 13, 2) is None
+    assert built == []
+    assert _static_span(VEC, 3, 20, 13, 3) is None
+    assert _static_span(VEC, 3, 20, 13, 5) == 5
+    assert built == [3, 3]
+
+
+def test_closed_form_rejects_a_non_positive_coefficient(monkeypatch):
+    # No curve built from a vector reads above Q - q, so only a forged one,
+    # whose second piece starts at 20 > Q = 16, gives that piece the
+    # coefficient (16 - 20) * 3 + 1 * 2 = -10.
+    segments = (Segment(start=0, value=0, rise=20, width=2), Segment(start=2, value=20, rise=1, width=3))
+    forged = StallCurve(core=3, q=5, segments=segments)
+    monkeypatch.setattr(static_analysis, "curve_for_core", lambda budgets, core: forged)
+    with pytest.raises(InvariantError, match="coefficient -10"):
+        _static_span(VEC, 3, 1, 40, None)
