@@ -10,6 +10,7 @@ parser is built once per process and serves every :func:`main` call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -188,19 +189,17 @@ def _cmd_experiment(args) -> int:
         plot_path = os.path.splitext(args.out)[0] + ".plt"
         if os.path.realpath(plot_path) == os.path.realpath(args.out):
             raise MembwError(f"--plot would write its script over the CSV {args.out}; give --out another extension")
-    sweep = preset_sweep(args.preset, args.seed)
-    rows = run_sweep(sweep)
-    csv_text = rows_to_csv(rows, args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(csv_text)
-    if args.plot:
-        with open(plot_path, "w", encoding="utf-8") as fh:
-            fh.write(_plot_script(rows, args.out))
-        print(f"wrote plot script to {plot_path}", file=sys.stderr)
+    with contextlib.ExitStack() as stack:
+        # Open the outputs first: an unwritable path fails before the sweep.
+        csv_fh = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        plot_fh = stack.enter_context(open(plot_path, "w", encoding="utf-8")) if args.plot else None
+        rows = run_sweep(preset_sweep(args.preset, args.seed))
+        csv_fh.write(rows_to_csv(rows, args.seed))
+        if args.out:
+            print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+        if args.plot:
+            plot_fh.write(_plot_script(rows, args.out))
+            print(f"wrote plot script to {plot_path}", file=sys.stderr)
     return 0
 
 

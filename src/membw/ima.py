@@ -37,12 +37,13 @@ Policies:
   live cores' weights and with them the vector.
 
 Every analysis here is of a view that ends in an unbounded vector, and
-needs only its span or a miss. A view of one vector (every SE and SU
-analysis, and DY's at a partition's start) takes the closed-form least
-root of :mod:`membw.static_analysis`; a longer one (DY's after a vector
-change) runs the split + greedy fixed-point kernel of
-:mod:`membw.dynamic_analysis`. Both give the span the public analyzers
-give.
+needs only its span or a miss. SE and SU analyze every partition under
+their one vector with the closed-form least root of
+:mod:`membw.static_analysis`, called directly. DY's views go through one
+dispatch, ``_span_within``: a view of one vector (at a partition's start)
+takes the same closed form, and a longer one (after a vector change) runs
+the split + greedy fixed-point kernel of :mod:`membw.dynamic_analysis`.
+Both give the span the public analyzers give.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -427,12 +428,14 @@ def _hypothesize_span(
 
 
 def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
-    """Span of ``part`` from period ``start`` under ``schedule``, or None if it misses H.
+    """Span of ``part`` from period ``start`` under the DY view ``schedule``,
+    or None if it misses H.
 
-    Every view here ends in an unbounded interval. A one-interval view (SE,
-    SU, and DY at a partition's start) is solved in closed form by
-    ``_static_span``; a longer one (DY after a vector change) runs the
-    split + greedy kernel ``_dynamic_span``. Both give the least root.
+    This is the one dispatch for DY's views, each of which ends in an
+    unbounded interval. A one-interval view (at a partition's start) is
+    solved in closed form by ``_static_span``; a longer one (after a vector
+    change) runs the split + greedy kernel ``_dynamic_span``. Both give the
+    least root. SE and SU call ``_static_span`` directly.
     """
     # Generation guarantees E >= 1 and mu >= 0 and every schedule here is
     # over the config's Q, so the solvers run without the public checks.
@@ -454,13 +457,13 @@ def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentC
     else:
         raise InvariantError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    schedule = MemorySchedule.static(vector)
+    # As in _span_within, the closed form runs without the public checks.
     for core in range(1, config.m + 1):
         start = 0
         for part in pset.by_core(core):
             if start >= config.hyperperiod_periods:
                 return False
-            span = _span_within(part, start, schedule, config)
+            span = _static_span(vector, core, part.execution, part.memory, config.hyperperiod_periods - start)
             if span is None:
                 return False
             start += span

@@ -4,7 +4,7 @@ A workload abstracts one deadline-constrained activity on a core: E slots of
 pure execution plus mu memory transactions, to finish within D. Time is
 discretized into regulation periods of P seconds, each serving at most Q
 transactions of worst-case latency L_max (so one transaction occupies one
-"slot" and Q slots make a period). A memory schedule is the time-ordered
+"slot" and Q slots fit in a period). A memory schedule is the time-ordered
 sequence of budget vectors in force, each for a fixed number of periods; a
 static assignment is simply a schedule with one unbounded interval.
 
@@ -15,7 +15,7 @@ Scenario files (JSON) bundle a regulation config, a schedule, and workloads;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, ScenarioError, ScheduleExhaustedError
@@ -26,17 +26,16 @@ from .stall_curve import BudgetVector
 class RegulationConfig:
     """Memory regulation parameters.
 
-    ``q_total`` overrides the derived transactions-per-period count
-    floor(period / l_max) for setups whose published L_max and Q disagree;
-    when set, the effective slot length is period / q_total so that span,
-    deadline, and period arithmetic stay mutually consistent.
+    A period lasts ``period`` seconds (P) and serves Q = floor(P / L_max)
+    transactions. ``q_total`` overrides that Q for setups whose published
+    L_max and Q disagree; it sets only Q and the slot, whose length becomes
+    P / q_total. The period stays P either way, so deadlines are converted
+    with P.
     """
 
     period: Fraction
     l_max: Fraction
     q_total: int | None = None
-    _q: int = field(init=False, repr=False, compare=False)
-    _period_duration: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -45,16 +44,13 @@ class RegulationConfig:
             raise InvariantError("regulation config: l_max must be > 0")
         if self.q_total is not None and self.q_total < 1:
             raise InvariantError("regulation config: q_total override must be >= 1")
-        q = self.q_total if self.q_total is not None else int(self.period / self.l_max)
-        if q < 1:
+        if self.q_total is None and self.period < self.l_max:
             raise InvariantError("regulation config: period must cover at least one transaction")
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_period_duration", q * self.slot)
 
     @property
     def transactions_per_period(self) -> int:
         """Total transactions servable per period (the scalar Q)."""
-        return self._q
+        return self.q_total if self.q_total is not None else self.period // self.l_max
 
     @property
     def slot(self) -> Fraction:
@@ -159,14 +155,12 @@ def split_span(schedule: MemorySchedule, span: int) -> tuple[int, ...]:
 def deadline_periods(workload: Workload, config: RegulationConfig) -> int:
     """Greatest span (in periods) whose duration still meets the deadline.
 
-    That is floor(D / (Q * slot)), taken on the integer numerators and
-    denominators of the two positive rationals.
+    A period lasts P, whether or not ``q_total`` overrides Q, so that is
+    floor(D / P): W periods meet the deadline exactly when W * P <= D.
     """
-    deadline = workload.deadline
-    if deadline is None:
+    if workload.deadline is None:
         raise InvariantError("deadline_periods: workload has no deadline")
-    duration = config._period_duration
-    return (deadline.numerator * duration.denominator) // (deadline.denominator * duration.numerator)
+    return workload.deadline // config.period
 
 
 @dataclass(frozen=True, slots=True)

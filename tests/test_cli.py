@@ -130,6 +130,24 @@ def test_saturated_climb_trace(capsys, tmp_path):
     assert rows["analyze-static"][-1] == "8001,8001,333320000"
 
 
+def test_a_deadline_is_met_only_when_the_periods_end_by_it(capsys, tmp_path):
+    # L_max = 3 does not divide P = 16, so Q = 5 and five slots take 15 s,
+    # but a period still lasts 16 s: a span of 2 ends at 32 s.
+    for deadline, status in ((30, "deadline-miss"), (32, "converged")):
+        doc = {
+            "config": {"P": 16, "L_max": 3},
+            "schedule": [{"budgets": [2, 3], "length": "unbounded"}],
+            "workloads": [{"core": 1, "E": 6, "mu": 0, "D": deadline}],
+        }
+        path = _write(tmp_path, json.dumps(doc).encode())
+        for command in ("analyze-static", "analyze-dynamic"):
+            code, out, _ = run(capsys, command, "--scenario", path)
+            assert code == 0
+            result = json.loads(out)
+            assert result["status"] == status
+            assert result["span_periods"] == 2
+
+
 class TestDumpCurve:
     def test_points_golden(self, capsys):
         code, out, _ = run(capsys, "dump-curve", "--scenario", STATIC)
@@ -297,6 +315,29 @@ class TestExperiment:
             assert (code, out) == (2, "")
             assert err.startswith("error: --plot would write its script over the CSV")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("out_name", "plot", "unwritable"),
+        [
+            ("missing/x.csv", False, "missing/x.csv"),
+            ("outdir", False, "outdir"),
+            ("missing/x.csv", True, "missing/x.csv"),
+            # The CSV can be written but its script path is a directory.
+            ("x.csv", True, "x.plt"),
+        ],
+    )
+    def test_unwritable_out_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch, out_name, plot, unwritable):
+        def no_sweep(sweep):
+            pytest.fail("the sweep ran before its outputs were opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "x.plt").mkdir()
+        with pytest.raises(OSError) as exc:
+            open(tmp_path / unwritable, "w")
+        argv = ["experiment", "--preset", "vary-m", "--out", str(tmp_path / out_name)]
+        code, out, err = run(capsys, *argv, *(["--plot"] if plot else []))
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
     def test_plot_script_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBW_THREADS", "1")

@@ -226,6 +226,12 @@ def greedy_instances(draw):
 @example(((0, 2, 0), 14, CURVES3))
 @example(((0, 2, 0), 15, CURVES3))
 @example(((3, 0, 2), 200, CURVES3))
+# A lone head (one reached interval among zero splits), with memory
+# stopping inside its only segment (stall 36 / 4, unreduced), inside its
+# second segment, and exactly on a segment boundary.
+@example(((0, 0, 2), 3, CURVES3))
+@example(((2, 0, 0), 6, CURVES3))
+@example(((2, 0, 0), 4, CURVES3))
 def test_heap_greedy_matches_the_pass_scan(inst):
     # The whole assignment: every per-interval count, the saturated flag and
     # the stall as the same unreduced numerator and denominator.

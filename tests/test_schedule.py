@@ -1,6 +1,8 @@
 """Regulation config, workloads, memory schedules, and scenario parsing."""
 
+import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,14 @@ THREE_INTERVALS = MemorySchedule(
 
 
 class TestRegulationConfig:
+    def test_holds_only_its_three_parameters(self):
+        cfg = RegulationConfig(period=Fraction(16), l_max=Fraction(3))
+        assert [f.name for f in dataclasses.fields(cfg)] == ["period", "l_max", "q_total"]
+        twin = RegulationConfig(period=Fraction(16), l_max=Fraction(3))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg == twin
+        assert hash(cfg) == hash(twin)
+        assert cfg != RegulationConfig(period=Fraction(16), l_max=Fraction(3), q_total=5)
+
     def test_q_defaults_to_period_over_latency(self):
         cfg = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
         assert cfg.transactions_per_period == 16
@@ -152,7 +162,7 @@ POSITIVE = st.fractions(min_value=Fraction(1, 10**9), max_value=10**6, max_denom
 def test_deadline_periods_matches_fraction_division(override, l_max, ratio, q, deadline):
     cfg = RegulationConfig(period=l_max * ratio, l_max=l_max, q_total=q if override else None)
     wl = Workload(execution=1, memory=0, deadline=deadline)
-    assert deadline_periods(wl, cfg) == int(deadline / (cfg.transactions_per_period * cfg.slot))
+    assert deadline_periods(wl, cfg) == int(deadline / cfg.period)
 
 
 def test_deadline_periods_requires_deadline():
