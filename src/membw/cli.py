@@ -183,23 +183,34 @@ def _plot_script(rows, csv_path: str) -> str:
 
 
 def _cmd_experiment(args) -> int:
+    plot_path = None
     if args.plot:
         if not args.out:
             raise MembwError("--plot requires --out (the script references the CSV file)")
         plot_path = os.path.splitext(args.out)[0] + ".plt"
         if os.path.realpath(plot_path) == os.path.realpath(args.out):
             raise MembwError(f"--plot would write its script over the CSV {args.out}; give --out another extension")
-    with contextlib.ExitStack() as stack:
-        # Open the outputs first: an unwritable path fails before the sweep.
-        csv_fh = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
-        plot_fh = stack.enter_context(open(plot_path, "w", encoding="utf-8")) if args.plot else None
+    new = [path for path in (args.out, plot_path) if path and not os.path.exists(path)]
+    try:
+        # Open the outputs for appending first: an unwritable path fails
+        # before the sweep, and a file already there keeps its bytes until
+        # the sweep has succeeded.
+        for path in filter(None, (args.out, plot_path)):
+            open(path, "a", encoding="utf-8").close()
         rows = run_sweep(preset_sweep(args.preset, args.seed))
+    except BaseException:
+        # A failed run leaves behind no output it created.
+        for path in filter(os.path.exists, new):
+            os.remove(path)
+        raise
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as csv_fh:
         csv_fh.write(rows_to_csv(rows, args.seed))
-        if args.out:
-            print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-        if args.plot:
+    if args.out:
+        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    if args.plot:
+        with open(plot_path, "w", encoding="utf-8") as plot_fh:
             plot_fh.write(_plot_script(rows, args.out))
-            print(f"wrote plot script to {plot_path}", file=sys.stderr)
+        print(f"wrote plot script to {plot_path}", file=sys.stderr)
     return 0
 
 

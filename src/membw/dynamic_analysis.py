@@ -20,28 +20,27 @@ and the breakdown take curves for that reached prefix only. An unreached
 interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
-that both analyzers run, and the record it writes, :class:`AnalysisResult`.
-The analyzers differ only in the stall term S(W) they pass in: the split +
-greedy S above here, the single-curve term in :mod:`membw.static_analysis`.
-The loop takes integers; the public analyzers check Q against the config
-and turn the deadline into periods first, and the IMA policies, whose
-inputs generation guarantees, call the split + greedy kernel behind
-:func:`analyze_dynamic` directly.
+with the split + greedy S above as its one stall term, and the record it
+writes, :class:`AnalysisResult`. Both public analyzers run this kernel:
+:func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
+interval. The loop takes integers; the public analyzers check Q against the
+config and the core against the schedule, and turn the deadline into
+periods first, and the IMA policies, whose inputs generation guarantees,
+call the kernel behind :func:`analyze_dynamic` directly.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in
-part, or 1 (the static term: the width of the segment its rate falls on).
-The next iterate is an integer ceiling division. The result records the
-iterates as integers; a :class:`Fraction` is built only when the result's
-trace (one per iterate) or breakdown (one per interval) is read.
+part, or 1. The next iterate is an integer ceiling division. The result
+records the iterates as integers; a :class:`Fraction` is built only when the
+result's trace (one per iterate) or breakdown (one per interval) is read.
 
 While mu exceeds the span's capacity (the distributor reports ``saturated``)
 the iteration climbs slowly, often one period per iterate, and S is affine in
 W until the last interval the span reaches ends or its capacity catches up
-with mu. The split + greedy term reports that piece as a stride. Along a
-stride the step to the next iterate never grows, so the loop crosses each run
-of equal steps in one jump and records it as one entry; it calls the split
-and the greedy again only where the stride ends. A climb of n iterates thus
+with mu. The stall term reports that piece as a stride. Along a stride the
+step to the next iterate never grows, so the loop crosses each run of equal
+steps in one jump and records it as one entry; it calls the split and the
+greedy again only where the stride ends. A climb of n iterates thus
 costs O(runs), not O(n), in time and in record size.
 """
 
@@ -189,18 +188,24 @@ def analyze_dynamic(
     iterate no longer fits the deadline) or schedule exhaustion (an iterate
     outgrew a fully bounded schedule; the result carries the shortfall).
     """
-    limit = _limit(workload, schedule.q_total, config)
+    limit = _limit(workload, schedule, core, config)
     return _dynamic_span(schedule, core, workload.execution, workload.memory, limit)
 
 
-def _limit(workload: Workload, q_total: int, config: RegulationConfig) -> int | None:
+def _limit(workload: Workload, schedule: MemorySchedule, core: int, config: RegulationConfig) -> int | None:
     """The workload's deadline in periods, or None without one, once the
-    budgets' total Q is checked against the config."""
-    if q_total != config.transactions_per_period:
+    budgets' total Q is checked against the config and ``core`` against the
+    schedule's cores.
+
+    Both checks come before the loop, whose first iterate can miss the
+    deadline before it builds a curve, and with it the curve's core check."""
+    if schedule.q_total != config.transactions_per_period:
         raise InvariantError(
-            f"budgets sum to {q_total} but config provides "
+            f"budgets sum to {schedule.q_total} but config provides "
             f"{config.transactions_per_period} transactions per period"
         )
+    if not 1 <= core <= schedule.m:
+        raise InvariantError(f"core index {core} outside [1..{schedule.m}]")
     return deadline_periods(workload, config) if workload.deadline is not None else None
 
 
@@ -360,10 +365,9 @@ def _fixed_point(
     curves)``, or None for no breakdown), and a stride: None, or
     ``(rate, last)`` meaning S(W') = (num + rate * (W' - W)) / den for every
     W' in [W, last], with last >= W and rate < Q * den. (The split + greedy
-    term's saturated stall is an integer over 1, so its rate is Q - q^j; the
-    static term's is (Q - q) * den.) A stride with rate >= Q * den raises
-    :class:`InvariantError`. The loop calls ``stall_term`` again only past
-    ``last``.
+    term's saturated stall is an integer over 1, so its rate is Q - q^j.) A
+    stride with rate >= Q * den raises :class:`InvariantError`. The loop
+    calls ``stall_term`` again only past ``last``.
 
     Inside a stride the step from W' to its next iterate is
     ceil((r - b * (W' - W)) / (Q * den)), with r = beta * den + num - Q * den * W
@@ -382,7 +386,7 @@ def _fixed_point(
     trace and breakdown from the record and that detail when they are read.
 
     The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
-    with beta + S(W) <= Q * W. Both analyzers' S(W) is the most stall mu
+    with beta + S(W) <= Q * W. The split + greedy S(W) is the most stall mu
     transactions can cause over W periods, each interval j stalling
     g^j(W^j, mu^j) = W^j * I^j(mu^j / W^j) with mu^j <= W^j * q^j. As I^j is
     concave with I^j(0) = 0, g^j is concave and non-decreasing in W^j, and

@@ -161,7 +161,7 @@ class StallCurve:
         """Evaluate the envelope at rate ``r`` (transactions per period), exactly.
 
         Only tests call this: it is their ``Fraction`` reference for
-        :meth:`stall_ratio`'s integer segment search.
+        :meth:`stall_over`'s integer segment search.
         """
         if r < 0 or r > self.q:
             raise InvariantError(f"rate {r} outside curve domain [0, {self.q}]")
@@ -171,31 +171,22 @@ class StallCurve:
     def stall_over(self, span: int, memory: int) -> Fraction:
         """Exact span-cumulative stall: value_at(memory / span) * span.
 
-        Requires 0 <= memory <= span * q. The analyzers' loop uses the
-        integer :meth:`stall_ratio` instead; a result builds a
-        :class:`Fraction` only when its trace or breakdown is read.
-        """
-        return Fraction(*self.stall_ratio(span, memory))
-
-    def stall_ratio(self, span: int, memory: int) -> tuple[int, int]:
-        """:meth:`stall_over` as an unreduced integer ratio (numerator, width).
-
-        The stall is value * span + rise * (memory - start * span) / width on
-        the segment that ``memory / span`` falls on; the ratio keeps that
-        segment's width as denominator. A span of 0 holds no memory: its
-        stall is 0.
+        Requires 0 <= memory <= span * q. The stall is value * span + rise *
+        (memory - start * span) / width on the segment that ``memory / span``
+        falls on, found by comparing integers. A span of 0 holds no memory:
+        its stall is 0.
         """
         if memory < 0 or memory > span * self.q:
             raise InvariantError(f"memory {memory} outside feasible range [0, {span * self.q}] for span {span}")
         # The segment whose scaled domain [start * span, end * span] holds
-        # ``memory``, found by comparing integers. Segment tables are tiny (at
-        # most m distinct breakpoints), so a linear scan beats bisect here.
+        # ``memory``. Segment tables are tiny (at most m distinct
+        # breakpoints), so a linear scan beats bisect here.
         segs = self.segments
         k = 0
         while k + 1 < len(segs) and segs[k + 1].start * span <= memory:
             k += 1
         seg = segs[k]
-        return seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width
+        return Fraction(seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width)
 
     def to_json_dict(self) -> dict:
         return {

@@ -123,6 +123,21 @@ def test_criterion_4_greedy_matches_enumeration():
     _report("4 greedy optimality", f"{trials} instances, exact objective match, {elapsed:.1f} s")
 
 
+def _static_recurrence(wl: Workload, budgets: BudgetVector, core: int) -> list[tuple[int, Fraction]]:
+    """The paper's static iteration, W_(0) = ceil(beta / Q) and
+    W_(k) = ceil((beta + I(min(mu / W_(k-1), q)) * W_(k-1)) / Q), run to its
+    fixed point with exact stalls; returns every iterate's (W, S)."""
+    curve = curve_for_core(budgets, core)
+    span = -(-wl.beta // budgets.total)
+    trace = [(span, Fraction(0))]
+    while True:
+        stall = curve.stall_over(span, min(wl.memory, span * curve.q))
+        trace.append((-(-(wl.beta + stall) // budgets.total), stall))
+        if trace[-1][0] == span:
+            return trace
+        span = trace[-1][0]
+
+
 def test_criterion_5_dynamic_specializes_to_static():
     rng = random.Random(500)
     trials = 1_000
@@ -132,11 +147,14 @@ def test_criterion_5_dynamic_specializes_to_static():
         core = rng.randint(1, m)
         wl = Workload(execution=rng.randint(1, 60), memory=rng.randint(0, 80))
         cfg = RegulationConfig(period=Fraction(budgets.total), l_max=Fraction(1))
-        sta = analyze_static(wl, budgets, core, cfg)
-        dyn = analyze_dynamic(wl, MemorySchedule.static(budgets), core, cfg)
-        assert dyn.status is sta.status
-        assert dyn.trace == sta.trace, (budgets, core, wl)
-    _report("5 specialization", f"{trials} workloads, traces element-for-element equal")
+        expected = _static_recurrence(wl, budgets, core)
+        for result in (
+            analyze_static(wl, budgets, core, cfg),
+            analyze_dynamic(wl, MemorySchedule.static(budgets), core, cfg),
+        ):
+            assert result.converged
+            assert [(t.span, t.stall) for t in result.trace] == expected, (budgets, core, wl)
+    _report("5 specialization", f"{trials} workloads, both traces equal the static recurrence's")
 
 
 def test_criterion_6_monotonicity_properties():

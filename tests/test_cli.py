@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from membw import cli
 from membw.cli import main
+from membw.errors import MembwError
 from membw.oracles import ENUMERATION_GUARD
 
 STATIC = "scenarios/static_worked_example.json"
@@ -338,6 +339,31 @@ class TestExperiment:
         argv = ["experiment", "--preset", "vary-m", "--out", str(tmp_path / out_name)]
         code, out, err = run(capsys, *argv, *(["--plot"] if plot else []))
         assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-csv", "no-csv"])
+    @pytest.mark.parametrize("failure", ["plot-path-is-a-directory", "sweep-raises"])
+    def test_a_failed_run_leaves_out_as_it_was(self, capsys, tmp_path, monkeypatch, existing, failure):
+        # A CSV already at --out keeps its bytes, and a run that created an
+        # output removes it.
+        def failing_sweep(sweep):
+            raise MembwError("the sweep failed")
+
+        def snapshot():
+            return {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        if existing:
+            (tmp_path / "x.csv").write_text("# an earlier sweep's\n")
+        message = "the sweep failed"
+        if failure == "plot-path-is-a-directory":
+            (tmp_path / "x.plt").mkdir()
+            with pytest.raises(OSError) as exc:
+                open(tmp_path / "x.plt", "w")
+            message = str(exc.value)
+        before = snapshot()
+        code, out, err = run(capsys, "experiment", "--preset", "vary-m", "--out", str(tmp_path / "x.csv"), "--plot")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert snapshot() == before
 
     def test_plot_script_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBW_THREADS", "1")

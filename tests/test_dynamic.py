@@ -348,6 +348,17 @@ class TestAnalyzeDynamic:
         result = analyze_dynamic(wl, THREE_INTERVALS, 3, CFG16)
         assert result.status is AnalysisStatus.DEADLINE_MISS
 
+    @pytest.mark.parametrize(
+        ("analyze", "budgets"),
+        [(analyze_static, VECTORS[0]), (analyze_dynamic, MemorySchedule.static(VECTORS[0]))],
+        ids=["static", "dynamic"],
+    )
+    def test_core_is_checked_before_the_first_iterate(self, analyze, budgets):
+        # The first iterate, 7 periods, misses the 1-period deadline before
+        # any curve is built, so no curve's check would see core 9.
+        with pytest.raises(InvariantError, match=r"core index 9 outside \[1\.\.4\]"):
+            analyze(Workload(execution=100, memory=0, deadline=Fraction(16)), budgets, 9, CFG16)
+
     def test_schedule_exhaustion_reports_shortfall(self):
         bounded = MemorySchedule(
             intervals=(
@@ -365,7 +376,7 @@ class TestAnalyzeDynamic:
         dyn = analyze_dynamic(wl, MemorySchedule.static(VECTORS[0]), 3, CFG16)
         sta = analyze_static(wl, VECTORS[0], 3, CFG16)
         assert dyn.span == sta.span == 10
-        assert dyn.trace == sta.trace
+        _assert_static_recurrence((dyn, sta), wl, VECTORS[0], 3, CFG16)
 
 
 EXHAUSTING = MemorySchedule(
@@ -563,6 +574,22 @@ def _one_iterate_at_a_time(wl, q_total, cfg, stall):
         span = nxt
 
 
+def _static_recurrence(wl, budgets, core, cfg):
+    """The paper's static iteration W_(k) = ceil((beta + I(min(mu / W, q)) *
+    W) / Q) under one vector, S(W) evaluated with :meth:`StallCurve.stall_over`
+    at every iterate; returns what :func:`_one_iterate_at_a_time` does."""
+    curve = curve_for_core(budgets, core)
+    return _one_iterate_at_a_time(wl, budgets.total, cfg, lambda w: curve.stall_over(w, min(wl.memory, w * curve.q)))
+
+
+def _assert_static_recurrence(results, wl, budgets, core, cfg):
+    """Every result's trace and JSON answer is the static recurrence's."""
+    expected = _static_recurrence(wl, budgets, core, cfg)
+    for result in results:
+        assert [(t.span, t.stall) for t in result.trace] == expected[3]
+        assert result.to_json_dict() == _expected_json(*expected, budgets.total)
+
+
 def _expected_json(status, span, shortfall, trace, q_total):
     doc = {"status": status.value, "span_periods": span}
     if status is AnalysisStatus.CONVERGED:
@@ -609,7 +636,7 @@ def test_run_walk_matches_one_iterate_at_a_time():
     # deadline, under both analyzers; every trace and JSON answer must match
     # a loop that evaluates S(W) afresh at every iterate.
     rng = random.Random(1811)
-    seen = {"multi-iterate run": 0, "deadline inside a run": 0, "schedule ends inside a run": 0, "static den > 1": 0}
+    seen = {"multi-iterate run": 0, "deadline inside a run": 0, "schedule ends inside a run": 0}
     for _ in range(400):
         bounded, cfg, deadlined = _climb_instance(rng)
         *head, tail = bounded.intervals
@@ -617,7 +644,7 @@ def test_run_walk_matches_one_iterate_at_a_time():
         free = Workload(execution=deadlined.execution, memory=deadlined.memory)
         q_total = bounded.q_total
         curves = tuple(curve_for_core(iv.budgets, 1) for iv in bounded.intervals)
-        budgets, curve = bounded.intervals[0].budgets, curves[0]
+        budgets = bounded.intervals[0].budgets
         results = {}
         for schedule in (bounded, unbounded):
             for wl in (deadlined, free):
@@ -631,13 +658,7 @@ def test_run_walk_matches_one_iterate_at_a_time():
                 assert [(t.span, t.stall) for t in result.trace] == expected[3]
                 assert result.to_json_dict() == _expected_json(*expected, q_total)
         for wl in (deadlined, free):
-            sta = analyze_static(wl, budgets, 1, cfg)
-            expected = _one_iterate_at_a_time(
-                wl, q_total, cfg, lambda w: curve.stall_over(w, min(wl.memory, w * curve.q))
-            )
-            assert [(t.span, t.stall) for t in sta.trace] == expected[3]
-            assert sta.to_json_dict() == _expected_json(*expected, q_total)
-            seen["static den > 1"] += any(run[2] > 1 for run in _runs(sta))
+            _assert_static_recurrence((analyze_static(wl, budgets, 1, cfg),), wl, budgets, 1, cfg)
         seen["multi-iterate run"] += any(_runs(result) for result in results.values())
         seen["deadline inside a run"] += _cut_run(results[unbounded, deadlined], results[unbounded, free])
         seen["schedule ends inside a run"] += _cut_run(results[bounded, free], results[unbounded, free])
@@ -660,8 +681,7 @@ def test_unbounded_single_interval_specializes_to_static(inst):
     cfg = RegulationConfig(period=Fraction(budgets.total), l_max=Fraction(1))
     dyn = analyze_dynamic(wl, MemorySchedule.static(budgets), core, cfg)
     sta = analyze_static(wl, budgets, core, cfg)
-    assert dyn.status is sta.status
-    assert dyn.trace == sta.trace
+    _assert_static_recurrence((dyn, sta), wl, budgets, core, cfg)
 
 
 def _draw_vectors(draw, m: int, n: int) -> list[BudgetVector]:
@@ -776,7 +796,7 @@ def test_the_span_is_the_least_root(inst):
         ),
         (
             analyze_static(wl, schedule.intervals[0].budgets, core, cfg),
-            lambda w: Fraction(*first.stall_ratio(w, min(memory, w * first.q))),
+            lambda w: first.stall_over(w, min(memory, w * first.q)),
             lambda period: first.q,
             None,
         ),

@@ -218,8 +218,8 @@ def _curve(q, segments):
         pytest.param(lambda: _curve(3, ((0, 0, 2, 1), (2, 2, 1, 1))), "without gaps", id="curve-gap"),
         pytest.param(lambda: _curve(2, ((0, 0, 2, 2), (2, 2, 1, 0))), "widths must be >= 1", id="curve-zero-width"),
         pytest.param(lambda: _curve(3, ((0, 0, 2, 2),)), "domain is", id="curve-short-domain"),
-        pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, -1), "outside feasible range", id="ratio-negative"),
-        pytest.param(lambda: curve_for_core(VEC, 3).stall_ratio(2, 11), "outside feasible range", id="ratio-over-q"),
+        pytest.param(lambda: curve_for_core(VEC, 3).stall_over(2, -1), "outside feasible range", id="ratio-negative"),
+        pytest.param(lambda: curve_for_core(VEC, 3).stall_over(2, 11), "outside feasible range", id="ratio-over-q"),
         pytest.param(lambda: curve_for_core(VEC, 3).stall_over(0, 5), "outside feasible range", id="ratio-span-zero"),
     ],
 )

@@ -23,7 +23,7 @@ from membw import (
     curve_for_core,
     oracle_max_stall,
 )
-from membw import static_analysis
+from membw import dynamic_analysis, static_analysis
 from membw.static_analysis import _static_span
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
@@ -138,16 +138,16 @@ def test_trace_is_self_consistent(inst):
 
 
 def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
-    # mu >= W * q up to W = 8000: one curve evaluation covers that climb,
-    # and one more finds the fixed point at 8001.
+    # mu >= W * q up to W = 8000: one greedy call covers that climb, and one
+    # more finds the fixed point at 8001.
     calls = []
-    stall_ratio = StallCurve.stall_ratio
+    distribute = dynamic_analysis.distribute_memory
 
-    def counting_stall_ratio(curve, span, memory):
-        calls.append(span)
-        return stall_ratio(curve, span, memory)
+    def counting_distribute(splits, memory, curves):
+        calls.append(sum(splits))
+        return distribute(splits, memory, curves)
 
-    monkeypatch.setattr(StallCurve, "stall_ratio", counting_stall_ratio)
+    monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
     budgets = BudgetVector((1, 20000, 21665))
     result = analyze_static(Workload(execution=50, memory=8000), budgets, 1, config_for(budgets))
     assert (result.span, len(result.trace)) == (8001, 8002)
