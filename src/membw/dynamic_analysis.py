@@ -25,8 +25,9 @@ writes, :class:`AnalysisResult`. Both public analyzers run this kernel:
 :func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
 interval. The loop takes integers; the public analyzers check Q against the
 config and the core against the schedule, and turn the deadline into
-periods first, and the IMA policies, whose inputs generation guarantees,
-call the kernel behind :func:`analyze_dynamic` directly.
+periods first. The IMA policies run no loop: every view they analyze ends
+in an unbounded vector, and its least root has a closed form in
+:mod:`membw.static_analysis`.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in

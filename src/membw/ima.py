@@ -29,21 +29,21 @@ Policies:
   event. Same-period completions collapse into a single event. A
   hypothesis is computed at two moments only. When its partition starts,
   the view is the current vector alone. When the vector changes, every
-  running partition is re-analyzed, and its view ends with the old vector
-  and then the new one, unbounded; runs of equal vectors in it are merged,
-  which gives the same span. Between those moments the view, and so the
-  hypothesis, stays the same. The vector stays SU's until some core
-  finishes its last partition; from then on any completion can shift the
-  live cores' weights and with them the vector.
+  running partition is re-analyzed, and its view is the intervals built
+  since its start and then the new vector, unbounded. Between those moments
+  the view, and so the hypothesis, stays the same. The vector stays SU's
+  until some core finishes its last partition; from then on any completion
+  can shift the live cores' weights and with them the vector.
 
 Every analysis here is of a view that ends in an unbounded vector, and
-needs only its span or a miss. SE and SU analyze every partition under
-their one vector with the closed-form least root of
-:mod:`membw.static_analysis`, called directly. DY's views go through one
-dispatch, ``_span_within``: a view of one vector (at a partition's start)
-takes the same closed form, and a longer one (after a vector change) runs
-the split + greedy fixed-point kernel of :mod:`membw.dynamic_analysis`.
-Both give the span the public analyzers give.
+needs only its span or a miss, so none runs the fixed-point kernel of
+:mod:`membw.dynamic_analysis`: each takes a closed-form least root of
+:mod:`membw.static_analysis`, called directly. SE and SU analyze every
+partition under their one vector with ``_static_span``, as does DY at a
+partition's start. DY's view after a vector change takes ``_view_span``,
+whose root lies past the view's history because the partition was still
+running when the vector changed. Both give the span the public analyzers
+give.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -71,15 +71,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
-from itertools import groupby
-from operator import attrgetter
 from typing import ClassVar, NamedTuple
 
-from .dynamic_analysis import _dynamic_span
 from .errors import InvariantError
 from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
 from .stall_curve import BudgetVector
-from .static_analysis import _static_span
+from .static_analysis import _static_span, _view_span
 
 POLICIES = ("SE", "SU", "DY")
 
@@ -409,41 +406,21 @@ def _hypothesize_span(
     """Span of ``part`` from its start period under the schedule so far, or
     None if it cannot converge within its slice of the hyperperiod.
 
-    ``history`` is the intervals built since ``start``. It is empty when the
-    partition has just started; otherwise the vector has just changed, so
-    its last interval holds a vector other than ``current_vec``. The view is
-    ``history`` with every run of adjacent equal vectors merged into one
-    interval, then ``current_vec`` unbounded. Merging gives the same span and
-    trace as the unmerged view: one vector gives every piece of a run the
-    same concave curve, whose segment start points are integers, so the
-    greedy distributor leaves every piece on the same linear segment, and
-    the pieces' stalls sum to the merged interval's.
+    The view is ``history``, the intervals built since ``start``, then
+    ``current_vec`` unbounded. With no history (the partition has just
+    started) it is one vector, solved by ``_static_span``. Otherwise the
+    vector has just changed while the partition ran, so no span up to the
+    history's length was a root of its previous view, which agrees with this
+    one that far: the least root lies past the history, as ``_view_span``
+    requires. Runs of equal vectors in the history need no merging. Both
+    closed forms give the kernel's least root.
     """
-    runs = [
-        BudgetInterval(budgets=vec, length=sum(iv.length for iv in run))
-        for vec, run in groupby(history, key=attrgetter("budgets"))
-    ]
-    view = MemorySchedule(intervals=(*runs, BudgetInterval(budgets=current_vec, length=None)))
-    return _span_within(part, start, view, config)
-
-
-def _span_within(part: Partition, start: int, schedule: MemorySchedule, config: ExperimentConfig) -> int | None:
-    """Span of ``part`` from period ``start`` under the DY view ``schedule``,
-    or None if it misses H.
-
-    This is the one dispatch for DY's views, each of which ends in an
-    unbounded interval. A one-interval view (at a partition's start) is
-    solved in closed form by ``_static_span``; a longer one (after a vector
-    change) runs the split + greedy kernel ``_dynamic_span``. Both give the
-    least root. SE and SU call ``_static_span`` directly.
-    """
-    # Generation guarantees E >= 1 and mu >= 0 and every schedule here is
-    # over the config's Q, so the solvers run without the public checks.
+    # Generation guarantees E >= 1 and mu >= 0 and every vector here is over
+    # the config's Q, so the closed forms run without the public checks.
     limit = config.hyperperiod_periods - start
-    if len(schedule.intervals) == 1:
-        return _static_span(schedule.intervals[0].budgets, part.core, part.execution, part.memory, limit)
-    result = _dynamic_span(schedule, part.core, part.execution, part.memory, limit)
-    return result.span if result.converged else None
+    if not history:
+        return _static_span(current_vec, part.core, part.execution, part.memory, limit)
+    return _view_span(history, current_vec, part.core, part.execution, part.memory, limit)
 
 
 def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentConfig) -> bool:
@@ -457,7 +434,7 @@ def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentC
     else:
         raise InvariantError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    # As in _span_within, the closed form runs without the public checks.
+    # As in _hypothesize_span, the closed form runs without the public checks.
     for core in range(1, config.m + 1):
         start = 0
         for part in pset.by_core(core):

@@ -1,4 +1,4 @@
-"""Worst-case span under a single static budget vector.
+"""Worst-case span under a single static budget vector, and past a history.
 
 The span of a workload (E, mu) on core i is the least number of regulation
 periods W covering E execution slots, mu transactions, and the worst-case
@@ -39,15 +39,55 @@ from one ceiling division on. The least root is therefore
             ceil((beta * w + r * mu) / coeff_e)),
 
 O(m) for a curve of at most m segments, with no iteration, result or trace.
+
+The same argument, read as LP duality, gives the least root of a view that
+runs history intervals j (lengths L_j, L in all) and then a vector unbounded,
+for spans past the history, :func:`_view_span`. A span W = L + T, T >= 0,
+fills every history interval, so the kernel's S(W) is a fractional knapsack:
+each segment (rise r_i, width w_i) of history curve j is a piece of
+capacity L_j * w_i, each segment of the tail's curve a piece of capacity
+T * w_i, and piece i yields r_i / w_i stall per transaction, mu transactions
+in all. Its LP dual is
+
+    D(lambda) = lambda * mu + sum over pieces of cap_i * max(0, r_i / w_i - lambda),
+
+for lambda >= 0, and S(W) <= D(lambda) for every lambda. D is convex and
+piecewise linear with its breaks at the pieces' slopes, so when the pieces
+hold mu (W unsaturated) its minimum, equal to S(W), falls on some piece
+slope lambda = r / w: where its slope mu - (capacity steeper than lambda)
+turns non-negative, or at lambda = 0, a slope only a zero-slope piece can
+give when the pieces steeper than 0 do not hold mu. A saturated W is no
+root, as above, and D(lambda) >= S(W) there too. So W is a root exactly when
+beta + D(r / w) <= Q * W for some piece (r, w); times w, that reads
+
+    beta * w + r * mu + sum_hist L_j * max(0, r_i * w - w_i * r) - Q * w * L
+        <= T * (Q * w - sum_tail max(0, r_i * w - w_i * r)).
+
+The sums run over the pieces strictly steeper than r / w: a piece of equal
+slope adds 0. The coefficient of T is w times Q less the tail curve's
+tangent intercept at slope r / w, at least w * q_tail > 0, so each piece
+admits every T from one ceiling division on, and
+
+    R = L + min over pieces of ceil(N / coeff)
+
+with N the left-hand side. Sorted by slope, the two sums are running sums of
+rises and widths, so the view costs O(S log S) for S pieces, and a run of
+equal vectors needs no merging: its pieces only tie. With no history the
+running sums of the tail's segments steeper than e are e's value and start,
+and the formula is :func:`_static_span`'s. The formula holds for W >= L
+only, so it needs R > L: the minimum is <= 0 exactly when W = L is a root,
+and that raises :class:`InvariantError`. DY meets it, since it views a
+history only for a running partition, whose previous view agrees with this
+one up to L periods and had no root there.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Sequence
 
 from .dynamic_analysis import AnalysisResult, _dynamic_span, _limit
 from .errors import InvariantError
-from .schedule import MemorySchedule, RegulationConfig, Workload
+from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
 from .stall_curve import BudgetVector, curve_for_core
 
 
@@ -60,7 +100,10 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
     """
     schedule = MemorySchedule.static(budgets)
     limit = _limit(workload, schedule, core, config)
-    return replace(_dynamic_span(schedule, core, workload.execution, workload.memory, limit), detail=None)
+    result = _dynamic_span(schedule, core, workload.execution, workload.memory, limit)
+    # The record without the breakdown's detail: the constructor costs half
+    # of dataclasses.replace.
+    return AnalysisResult(result.status, result.span, result.length_slots, result.raw, shortfall=result.shortfall)
 
 
 def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, limit: int | None) -> int | None:
@@ -88,3 +131,61 @@ def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, 
         least = root if least is None or root < least else least
     root = max(span, -(-memory // curve.q), least)
     return root if limit is None or root <= limit else None
+
+
+def _view_span(
+    history: Sequence[BudgetInterval],
+    budgets: BudgetVector,
+    core: int,
+    execution: int,
+    memory: int,
+    limit: int | None,
+) -> int | None:
+    """The kernel's span over ``history`` (bounded intervals) and then
+    ``budgets`` unbounded, in closed form, or None where it misses ``limit``
+    periods (None for no deadline).
+
+    Inputs are already known valid, as for :func:`_static_span`, and the
+    least root must lie past the history; see the module docstring for the
+    formula and this precondition, whose breach raises
+    :class:`InvariantError`. A history that reaches ``limit``, or a first
+    iterate past it, is a miss before any curve is built.
+    """
+    q_total = budgets.total
+    beta = execution + memory
+    length = sum(iv.length for iv in history)
+    if limit is not None and (length >= limit or -(-beta // q_total) > limit):
+        return None
+    # Each curve with its interval's L_j, 0 for the tail. A piece carries
+    # the greedy's exact slope key (see distribute_memory), its L_j, and
+    # whether it is the tail's.
+    curves = [(0, curve_for_core(budgets, core)), *((iv.length, curve_for_core(iv.budgets, core)) for iv in history)]
+    scale = max(curve.q for _, curve in curves) ** 2
+    pieces = sorted(
+        (-(seg.rise * scale // seg.width), seg.rise, seg.width, periods, not periods)
+        for periods, curve in curves
+        for seg in curve.segments
+    )
+    # Running sums over the pieces steeper than the current one: rises and
+    # widths, history pieces weighted by L_j, tail pieces unweighted.
+    hist_rise = hist_width = tail_rise = tail_width = 0
+    excess = beta - q_total * length
+    least = key = None
+    for piece_key, rise, width, periods, tail in pieces:
+        if piece_key != key:
+            # The first piece of a slope: its ties would add 0, so one
+            # evaluation serves them all.
+            key = piece_key
+            coeff = (q_total - tail_rise) * width + tail_width * rise
+            if coeff <= 0:
+                raise InvariantError(f"closed-form view span: slope {rise}/{width} has coefficient {coeff} <= 0")
+            root = -(-(excess * width + rise * memory + hist_rise * width - hist_width * rise) // coeff)
+            least = root if least is None or root < least else least
+        hist_rise += periods * rise
+        hist_width += periods * width
+        tail_rise += tail * rise
+        tail_width += tail * width
+    if least <= 0:
+        raise InvariantError(f"closed-form view span: the least root lies within the {length}-period history")
+    span = length + least
+    return span if limit is None or span <= limit else None

@@ -727,7 +727,7 @@ def schedule_and_cut(draw):
 @given(schedule_and_cut())
 @settings(max_examples=300, deadline=None)
 def test_cutting_an_interval_in_two_changes_nothing(inst):
-    # The DY hypotheses merge adjacent equal-vector intervals; this pins that
+    # DY's as-built schedules hold runs of equal vectors; this pins that
     # the merged and unmerged views give the same analysis.
     merged, cut, core, cfg, wl = inst
     a = analyze_dynamic(wl, merged, core, cfg)

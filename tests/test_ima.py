@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from typing import ClassVar
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +17,13 @@ from membw import (
     BudgetVector,
     IntervalBreakdown,
     MemorySchedule,
+    RegulationConfig,
     TraceEntry,
     Workload,
     analyze_dynamic,
     analyze_static,
     deadline_periods,
+    worst_case_span_by_simulation,
 )
 from membw import ima
 from membw.errors import InvariantError
@@ -384,7 +387,8 @@ class TestDynamicPolicy:
         # Soundness of the event construction: every recorded completion must
         # equal what the analyzer says when run over the final as-built
         # schedule from the partition's actual start period. The hypotheses
-        # ran over merged views; this replay runs over the unmerged schedule.
+        # came from closed forms; this replay runs the kernel over the
+        # unmerged as-built schedule.
         cfg = ExperimentConfig(m=m, mir=mir, u=u)
         pset = _set(seed, cfg)
         outcome = policy_dy(pset, cfg)
@@ -411,13 +415,13 @@ class TestDynamicPolicy:
         # the unbounded tail's. A hypothesis computed at any other moment
         # breaks one of the two.
         views = []
-        span_within = ima._span_within
+        hypothesize_span = ima._hypothesize_span
 
-        def recording(part, start, schedule, config):
-            views[-1].append((part.id, schedule.intervals))
-            return span_within(part, start, schedule, config)
+        def recording(part, start, history, current_vec, config):
+            views[-1].append((part.id, history, current_vec))
+            return hypothesize_span(part, start, history, current_vec, config)
 
-        monkeypatch.setattr(ima, "_span_within", recording)
+        monkeypatch.setattr(ima, "_hypothesize_span", recording)
         mirs = (Fraction(15, 100), Fraction(1, 4), Fraction(1, 2))
         us = tuple(Fraction(10 + 8 * k, 100) for k in range(11))
         for m, mir, u in itertools.product((4, 8, 12), mirs, us):
@@ -427,10 +431,10 @@ class TestDynamicPolicy:
         starts = later = 0
         for set_views in views:
             seen = set()
-            for pid, (*built, tail) in set_views:
+            for pid, built, tail in set_views:
                 if pid in seen:
                     later += 1
-                    assert built and built[-1].budgets != tail.budgets
+                    assert built and built[-1].budgets != tail
                 else:
                     starts += 1
                     seen.add(pid)
@@ -510,6 +514,54 @@ def _tail(schedule: MemorySchedule, start: int) -> MemorySchedule:
     return MemorySchedule(intervals=tuple(intervals))
 
 
+
+class TinyConfig(ExperimentConfig):
+    """The IMA model shrunk for the brute-force simulation: 2 partitions per
+    core, Q = 9, and H = 8 periods of 1 s, with the slot, the H counts and
+    the regulation config re-derived. Generation and the policies read only
+    these class constants, so they run unmodified."""
+
+    partitions_per_core: ClassVar[int] = 2
+    hyperperiod: ClassVar[Fraction] = Fraction(8)
+    period: ClassVar[Fraction] = Fraction(1)
+    q_total: ClassVar[int] = 9
+    slot: ClassVar[Fraction] = period / q_total
+    hyperperiod_periods: ClassVar[int] = int(hyperperiod / period)
+    hyperperiod_slots: ClassVar[int] = hyperperiod_periods * q_total
+    regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
+
+
+def test_dy_completions_bound_the_simulated_worst_case():
+    # DY's recorded spans against an oracle that shares nothing with the
+    # closed forms: every per-period access pattern over the as-built
+    # schedule from the partition's start, each period charged its raw
+    # worst-case stall. No pattern may finish later than the recorded span.
+    horizon = TinyConfig.hyperperiod_periods
+    schedulable = changed = checked = 0
+    for index in range(300):
+        cfg = TinyConfig(m=3, mir=(Fraction(0), Fraction(1, 2), Fraction(1))[index % 3], u=Fraction(3 + index % 7, 10))
+        pset = generate_partition_set(cfg, random.Random(index))
+        outcome = policy_dy(pset, cfg)
+        if not outcome.schedulable:
+            continue
+        schedulable += 1
+        changed += len({iv.budgets for iv in outcome.schedule.intervals}) > 1
+        for core in range(1, cfg.m + 1):
+            start = 0
+            for part in pset.by_core(core):
+                end = outcome.completions[part.id]
+                workload = Workload(execution=part.execution, memory=part.memory)
+                view = _tail(outcome.schedule, start)
+                assert worst_case_span_by_simulation(workload, view, core, horizon - start) <= end - start
+                checked += 1
+                start = end
+    # Both kinds of set occur, and a vector change sends some views through
+    # _view_span.
+    assert 0 < schedulable < 300
+    assert changed > 0
+    assert checked == 6 * schedulable
+
+
 class TestEvaluation:
     def test_policies_agree_on_trivial_load(self):
         cfg = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(1, 100))
@@ -570,11 +622,11 @@ class TestEvaluation:
             assert deadline_periods(workload, CFG.regulation) == horizon - start
 
     def test_policies_call_the_kernel_with_checked_inputs(self, monkeypatch):
-        # The policies hand the dynamic kernel and the closed form E, mu and
-        # a limit of H - start periods and build no Workload; each call must
-        # give the very answer the public analyzers give on the Workload it
-        # stands for.
-        built, calls, static_calls = [], [], []
+        # The policies hand the two closed forms E, mu and a limit of
+        # H - start periods and build no Workload; each call must give the
+        # very answer the public analyzers give on the Workload and the view
+        # it stands for.
+        built, view_calls, static_calls = [], [], []
         monkeypatch.setattr(Workload, "__init__", _counting(Workload.__init__, built))
 
         def recording(solver, record):
@@ -585,7 +637,7 @@ class TestEvaluation:
 
             return recorded
 
-        monkeypatch.setattr(ima, "_dynamic_span", recording(ima._dynamic_span, calls))
+        monkeypatch.setattr(ima, "_view_span", recording(ima._view_span, view_calls))
         monkeypatch.setattr(ima, "_static_span", recording(ima._static_span, static_calls))
         for m, u in ((4, Fraction(27, 50)), (8, Fraction(19, 50)), (12, Fraction(3, 10))):
             cfg = ExperimentConfig(m=m, mir=Fraction(1, 4), u=u)
@@ -594,12 +646,16 @@ class TestEvaluation:
                 for policy in POLICIES:
                     evaluate_schedulability(pset, policy, cfg)
         assert built == []
+        assert view_calls and static_calls
         statuses = set()
-        for (schedule, core, execution, memory, limit), result in calls:
+        for (history, budgets, core, execution, memory, limit), span in view_calls:
             workload = Workload(execution=execution, memory=memory, deadline=limit * ExperimentConfig.period)
-            assert analyze_dynamic(workload, schedule, core, ExperimentConfig.regulation) == result
+            schedule = MemorySchedule((*history, BudgetInterval(budgets=budgets, length=None)))
+            result = analyze_dynamic(workload, schedule, core, ExperimentConfig.regulation)
+            assert result.converged == (span is not None)
+            if result.converged:
+                assert result.span == span
             statuses.add(result.status)
-        assert static_calls
         for (budgets, core, execution, memory, limit), span in static_calls:
             workload = Workload(execution=execution, memory=memory, deadline=limit * ExperimentConfig.period)
             for result in (

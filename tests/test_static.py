@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from membw import (
     AnalysisStatus,
+    BudgetInterval,
     BudgetVector,
     InvariantError,
     MemorySchedule,
@@ -24,7 +25,8 @@ from membw import (
     oracle_max_stall,
 )
 from membw import dynamic_analysis, static_analysis
-from membw.static_analysis import _static_span
+from membw.dynamic_analysis import _dynamic_span
+from membw.static_analysis import _static_span, _view_span
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
 VEC = BudgetVector((2, 2, 5, 7))
@@ -277,3 +279,80 @@ def test_closed_form_rejects_a_non_positive_coefficient(monkeypatch):
     monkeypatch.setattr(static_analysis, "curve_for_core", lambda budgets, core: forged)
     with pytest.raises(InvariantError, match="coefficient -10"):
         _static_span(VEC, 3, 1, 40, None)
+
+
+def _vector(draw, m: int, total: int) -> BudgetVector:
+    """A vector of m budgets >= 1 summing to ``total``: the gaps between m - 1 cuts."""
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=m - 1, max_size=m - 1, unique=True)))
+    return BudgetVector(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total])))
+
+
+@st.composite
+def view_instances(draw):
+    """A DY-like view over a small Q: 1-6 history intervals, each holding a
+    fresh vector or its predecessor's, then a vector unbounded. Budgets go
+    down to 1, and a core whose budget tops the others' by 2 or more has a
+    zero-slope segment. mu is 0, free, or large enough to saturate the
+    first iterates."""
+    m = draw(st.integers(2, 6))
+    total = draw(st.integers(m, 4 * m))
+    vectors = [_vector(draw, m, total)]
+    for _ in range(draw(st.integers(1, 6))):
+        vectors.append(vectors[-1] if draw(st.booleans()) else _vector(draw, m, total))
+    history = tuple(BudgetInterval(budgets=vec, length=draw(st.integers(1, 4))) for vec in vectors[:-1])
+    core = draw(st.integers(1, m))
+    execution = draw(st.integers(1, 12 * total))
+    memory = draw(st.one_of(st.just(0), st.integers(0, 12 * total), st.integers(12 * total, 60 * total)))
+    return history, vectors[-1], core, execution, memory
+
+
+@given(view_instances())
+@settings(max_examples=400, deadline=None)
+# Equal adjacent vectors; core 3's budget 5 tops the others' 1, so its curve
+# ends in a zero-slope segment; mu = 0; and mu enough to saturate.
+@example(((BudgetInterval(BudgetVector((1, 1, 5)), 2), BudgetInterval(BudgetVector((1, 1, 5)), 1)), BudgetVector((2, 3, 2)), 3, 40, 9))
+@example(((BudgetInterval(BudgetVector((3, 4)), 1), BudgetInterval(BudgetVector((2, 5)), 2)), BudgetVector((6, 1)), 2, 50, 0))
+@example(((BudgetInterval(BudgetVector((1, 4, 2)), 3),), BudgetVector((1, 1, 5)), 1, 3, 300))
+def test_view_span_matches_the_kernel(inst):
+    # Past the history the closed form is the kernel's least root, at a
+    # limit one short of it, at it, and with none. A root within the
+    # history breaks _view_span's precondition and must raise.
+    history, budgets, core, execution, memory = inst
+    schedule = MemorySchedule((*history, BudgetInterval(budgets=budgets, length=None)))
+    least = _dynamic_span(schedule, core, execution, memory, None).span
+    if least <= sum(iv.length for iv in history):
+        with pytest.raises(InvariantError, match="within the"):
+            _view_span(history, budgets, core, execution, memory, None)
+        return
+    for limit in (least - 1, least, None):
+        result = _dynamic_span(schedule, core, execution, memory, limit)
+        assert _view_span(history, budgets, core, execution, memory, limit) == (result.span if result.converged else None)
+
+
+def test_view_span_miss_before_any_curve(monkeypatch):
+    built = []
+
+    def counting(budgets, core):
+        built.append(core)
+        return curve_for_core(budgets, core)
+
+    monkeypatch.setattr(static_analysis, "curve_for_core", counting)
+    history = (BudgetInterval(VEC, 2),)
+    # A history that reaches the limit, then a first iterate past it:
+    # beta = 64 over Q = 16 is 4 periods.
+    assert _view_span(history, VEC, 3, 40, 24, 2) is None
+    assert _view_span(history, VEC, 3, 40, 24, 3) is None
+    assert built == []
+    span = _view_span(history, VEC, 3, 40, 24, None)
+    assert built == [3, 3]
+    assert span == _dynamic_span(MemorySchedule((*history, BudgetInterval(VEC, None))), 3, 40, 24, None).span
+
+
+def test_view_span_rejects_a_non_positive_coefficient(monkeypatch):
+    # The forged curve of the closed-form test above, as the tail: with no
+    # steeper piece, its second piece reads (16 - 20) * 3 + 1 * 2 = -10.
+    segments = (Segment(start=0, value=0, rise=20, width=2), Segment(start=2, value=20, rise=1, width=3))
+    forged = StallCurve(core=3, q=5, segments=segments)
+    monkeypatch.setattr(static_analysis, "curve_for_core", lambda budgets, core: forged)
+    with pytest.raises(InvariantError, match="coefficient -10"):
+        _view_span((BudgetInterval(VEC, 1),), VEC, 3, 1, 40, None)
