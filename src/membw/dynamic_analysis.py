@@ -135,8 +135,8 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     if len(heap) > 1:
         scale = max([curves[j].q for _, j, _ in heap]) ** 2
         for i, (_, j, _) in enumerate(heap):
-            seg = curves[j].segments[0]
-            heap[i] = (-(seg.rise * scale // seg.width), j, 0)
+            _, _, rise, width = curves[j].segments[0]
+            heap[i] = (-(rise * scale // width), j, 0)
         heapify(heap)
     left, num = memory, 0
     while left:
@@ -144,14 +144,14 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
             return MemoryAssignment(tuple(assign), True, (num, 1))
         _, j, k = heap[0]
         segs = curves[j].segments
-        seg = segs[k]
+        _, _, rise, width = segs[k]
         w = splits[j]
-        piece = seg.width * w
+        piece = width * w
         if left < piece:
             assign[j] += left
-            return MemoryAssignment(tuple(assign), False, (num * seg.width + seg.rise * left, seg.width))
+            return MemoryAssignment(tuple(assign), False, (num * width + rise * left, width))
         assign[j] += piece
-        num += seg.rise * w
+        num += rise * w
         left -= piece
         k += 1
         if k == len(segs):
@@ -159,8 +159,8 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
         elif len(heap) == 1:
             heap[0] = (0, j, k)
         else:
-            seg = segs[k]
-            heapreplace(heap, (-(seg.rise * scale // seg.width), j, k))
+            _, _, rise, width = segs[k]
+            heapreplace(heap, (-(rise * scale // width), j, k))
     return MemoryAssignment(tuple(assign), False, (num, 1))
 
 

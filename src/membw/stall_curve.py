@@ -15,12 +15,34 @@ concave curve lets the worst case over a whole span be bounded by evaluating
 at the mean per-period rate. :func:`concave_envelope` builds the upper convex
 hull of the raw points; :class:`StallCurve` stores it as a segment table of
 integer rises over integer widths and evaluates it exactly.
+
+Budgets run to tens of thousands, so :func:`curve_for_core` hulls O(m)
+vertices instead of the q + 1 raw points, from one pass per vector. Let
+
+    F(x) = sum over all cores j of min(x, q_j) - x.
+
+Every core of a vector shares F: below q_i the core's own term is x, so
+I(k) = F(k) for k < q_i. F is piecewise linear with vertices at 0 and at
+the distinct budgets, and its slope, one less than the number of budgets
+above x, falls strictly at each of them, so F is concave. The raw points up
+to q_i - 1 are therefore concave already: their hull is F's vertices below
+q_i and the end point (q_i - 1, F(q_i - 1)). Only the appended point
+(q_i, Q - q_i) can break concavity, so the hull pops from the end of that
+list only. The end point, when it is not one of F's vertices, is always
+popped: it lies on F's last piece below q_i, whose slope s is the number of
+other budgets >= q_i, and the one-step chord from it to (q_i, Q - q_i)
+rises by the sum of (q_j - q_i + 1) over those budgets, at least s, so it
+lies on or below the chord from the vertex before it. So core i's curve is
+F's vertices below q_i, then (q_i, Q - q_i), hulled by popping from the
+end. A vector's F takes one sort; each core's curve then costs O(m) at
+most, and is built only when asked for.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -36,9 +58,13 @@ class BudgetVector:
     per-period transaction capacity Q of the memory system; the model assumes
     the budgets exhaust it. Single-entry vectors are accepted so degenerate
     no-interference curves can be built in tests.
+
+    :func:`curve_for_core` pins the vector's curve table on the instance on
+    its first call, so later calls on it skip the cache lookup.
     """
 
     budgets: tuple[int, ...]
+    _curves: _CurveTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.budgets) < 1:
@@ -57,17 +83,18 @@ class BudgetVector:
         return sum(self.budgets)
 
     def budget_of(self, core: int) -> int:
-        self._check_core(core)
+        _check_core(self.m, core)
         return self.budgets[core - 1]
 
     def others(self, core: int) -> tuple[int, ...]:
         """Budgets of every core except ``core``."""
-        self._check_core(core)
+        _check_core(self.m, core)
         return self.budgets[: core - 1] + self.budgets[core:]
 
-    def _check_core(self, core: int) -> None:
-        if not 1 <= core <= self.m:
-            raise InvariantError(f"core index {core} outside [1..{self.m}]")
+
+def _check_core(m: int, core: int) -> None:
+    if not 1 <= core <= m:
+        raise InvariantError(f"core index {core} outside [1..{m}]")
 
 
 @dataclass(frozen=True)
@@ -101,19 +128,23 @@ def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
     return RawStallPoints(core=core, values=tuple(values))
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Segment:
+class Segment(namedtuple("_SegmentFields", "start value rise width")):
     """One linear piece of a stall curve: value(r) = value + rise * (r - start) / width.
 
-    The piece runs from (start, value) to (start + width, value + rise).
-    Fields are keyword-only, so that a positional (start, value, slope,
-    width) call fails instead of reading a slope as a rise.
+    The piece runs from (start, value) to (start + width, value + rise). It is
+    an immutable int tuple (start, value, rise, width), which the solvers
+    unpack. The constructor is keyword-only, so that a positional (start,
+    value, slope, width) call fails instead of reading a slope as a rise;
+    the curve builder calls ``tuple.__new__`` directly.
     """
 
-    start: int
-    value: int
-    rise: int
-    width: int
+    __slots__ = ()
+
+    def __new__(cls, *, start: int, value: int, rise: int, width: int) -> Segment:
+        return tuple.__new__(cls, (start, value, rise, width))
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict[str, int]]:
+        return (), self._asdict()
 
     @property
     def slope(self) -> Fraction:
@@ -141,19 +172,19 @@ class StallCurve:
         if segs[0].start != 0 or segs[0].value != 0:
             raise InvariantError("stall curve: must start at (0, 0)")
         pos = 0
-        for i, s in enumerate(segs):
-            if s.start != pos:
+        for start, value, rise, width in segs:
+            if start != pos:
                 raise InvariantError("stall curve: segments must tile the domain without gaps")
-            if s.width < 1:
+            if width < 1:
                 raise InvariantError("stall curve: segment widths must be >= 1")
-            if i > 0:
-                prev = segs[i - 1]
-                # s.rise / s.width >= prev.rise / prev.width, widths positive.
-                if s.rise * prev.width >= prev.rise * s.width:
+            if pos:
+                # rise / width >= prev_rise / prev_width, widths positive.
+                if rise * prev_width >= prev_rise * width:
                     raise InvariantError("stall curve: slopes must be strictly decreasing (concavity)")
-                if prev.value + prev.rise != s.value:
+                if end != value:
                     raise InvariantError("stall curve: segment values must be continuous")
-            pos += s.width
+            pos += width
+            prev_rise, prev_width, end = rise, width, value + rise
         if pos != self.q:
             raise InvariantError(f"stall curve: segments cover [0, {pos}] but domain is [0, {self.q}]")
 
@@ -181,12 +212,11 @@ class StallCurve:
         # The segment whose scaled domain [start * span, end * span] holds
         # ``memory``. Segment tables are tiny (at most m distinct
         # breakpoints), so a linear scan beats bisect here.
-        segs = self.segments
-        k = 0
-        while k + 1 < len(segs) and segs[k + 1].start * span <= memory:
-            k += 1
-        seg = segs[k]
-        return Fraction(seg.value * span * seg.width + seg.rise * (memory - seg.start * span), seg.width)
+        for seg in self.segments:
+            if seg.start * span > memory:
+                break
+            start, value, rise, width = seg
+        return Fraction(value * span * width + rise * (memory - start * span), width)
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,51 +251,91 @@ def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def _curve_from_vertices(core: int, q: int, vertices: list[tuple[int, int]]) -> StallCurve:
-    segments = []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        segments.append(Segment(start=x0, value=y0, rise=y1 - y0, width=x1 - x0))
-    return StallCurve(core=core, q=q, segments=tuple(segments))
-
-
 def concave_envelope(raw: RawStallPoints) -> StallCurve:
     """Tightest concave piecewise-linear majorant of the raw stall points."""
-    points = list(enumerate(raw.values))
-    return _curve_from_vertices(raw.core, raw.q, _upper_hull(points))
+    vertices = _upper_hull(list(enumerate(raw.values)))
+    segments = tuple(
+        Segment(start=x0, value=y0, rise=y1 - y0, width=x1 - x0)
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
+    )
+    return StallCurve(core=raw.core, q=raw.q, segments=segments)
 
 
 def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
     """Stall curve for ``core`` without materializing all q + 1 raw points.
 
-    On [0, q-1] the raw function is a sum of min(k, q_j) terms, hence already
-    concave with breakpoints only at other cores' budget values; the single
-    appended point (q, Q - q) is the only possible convexity. Hulling the
-    breakpoint vertices therefore equals hulling every integer point, in
-    O(m log m) (a sort, then one prefix-sum pass) instead of O(q). Matters
-    because real configurations have budgets in the tens of thousands.
+    The curve comes from the vector's table (see the module docstring),
+    which the first call on a vector instance takes from
+    :func:`_cached_curve` and pins on the instance.
     """
-    return _cached_curve(budgets, core)
+    table = budgets._curves
+    if table is None:
+        table = _cached_curve(budgets)
+        object.__setattr__(budgets, "_curves", table)
+    return table[core]
 
 
-@lru_cache(maxsize=2048)
-def _cached_curve(budgets: BudgetVector, core: int) -> StallCurve:
-    """The curves of recently used (budgets, core) pairs.
+class _CurveTable(dict):
+    """One vector's stall curves by core, each built on its first request.
 
-    2048 entries cover the working set with room to spare: one IMA partition
-    set touches at most about m x (number of DY events) curves, under 600 at
-    m = 12; one CLI call touches one curve per schedule interval; and across
-    sets only SE's handful of even-split curves repeat. A larger cache only
-    holds curves that are never asked for again.
+    ``xs`` and ``ys`` list F's vertices (see the module docstring): x = 0,
+    then each distinct budget in increasing order.
     """
-    q = budgets.budget_of(core)
-    others = sorted(budgets.others(core))
-    vertices = []
-    # I(x) = (sum of the i budgets <= x) + x * (number of budgets > x).
-    below = i = 0
-    for x in sorted({0, q - 1, *(qj for qj in others if qj < q)}):
-        while i < len(others) and others[i] <= x:
-            below += others[i]
-            i += 1
-        vertices.append((x, below + x * (len(others) - i)))
-    vertices.append((q, budgets.total - q))
-    return _curve_from_vertices(core, q, _upper_hull(vertices))
+
+    __slots__ = ("budgets", "total", "xs", "ys")
+
+    def __init__(self, budgets: tuple[int, ...]) -> None:
+        super().__init__()
+        m = len(budgets)
+        self.budgets = budgets
+        below = 0
+        xs, ys = [0], [0]
+        ordered = sorted(budgets)
+        for n, q in enumerate(ordered, start=1):
+            below += q
+            if n == m or ordered[n] != q:
+                # F(q) = (sum of the n budgets <= q) + q * (m - n budgets above q) - q.
+                xs.append(q)
+                ys.append(below + q * (m - n - 1))
+        self.total, self.xs, self.ys = below, xs, ys
+
+    def __reduce__(self) -> tuple:
+        # A pickled vector carries only its budgets; the copy's table builds
+        # its curves again on request.
+        return _CurveTable, (self.budgets,)
+
+    def __missing__(self, core: int) -> StallCurve:
+        _check_core(len(self.budgets), core)
+        q = self.budgets[core - 1]
+        top = self.total - q
+        xs, ys = self.xs, self.ys
+        # F's vertices below q, then (q, Q - q): drop the last vertex while
+        # it lies on or below the chord from its predecessor to (q, Q - q).
+        n = bisect_left(xs, q)
+        while n > 1:
+            ox, oy, ax, ay = xs[n - 2], ys[n - 2], xs[n - 1], ys[n - 1]
+            if (ax - ox) * (top - oy) - (ay - oy) * (q - ox) < 0:
+                break
+            n -= 1
+        new = tuple.__new__
+        segments = [new(Segment, (x, y, y1 - y, x1 - x)) for x, y, x1, y1 in zip(xs, ys, xs[1:n], ys[1:n])]
+        x, y = xs[n - 1], ys[n - 1]
+        segments.append(new(Segment, (x, y, top - y, q - x)))
+        curve = self[core] = StallCurve(core=core, q=q, segments=tuple(segments))
+        return curve
+
+
+@lru_cache(maxsize=256)
+def _cached_curve(budgets: BudgetVector) -> _CurveTable:
+    """The curve tables of recently used vectors, by value.
+
+    Each vector instance asks once (:func:`curve_for_core` pins the table on
+    it), so the cache serves equal vectors built anew: SE's even split for
+    every set, and a DY or SU vector that an earlier set or event already
+    built. An m = 8 DY set touches 2.8 vectors on average and 12 at most,
+    and the 1,245 vectors of a 480-set ``ima-dy`` pool are nearly all
+    distinct. At 256 that pool misses 1,251 times and the 567-set sample
+    under all three policies 1,333 times, against 1,245 and 1,331 with no
+    bound, so a larger cache only holds tables never asked for again.
+    """
+    return _CurveTable(budgets.budgets)

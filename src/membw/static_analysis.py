@@ -123,11 +123,11 @@ def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, 
     # The least segment root, kept as the loop goes: collecting the roots
     # for min() measured slower on IMA's calls.
     least = None
-    for seg in curve.segments:
-        coeff = (q_total - seg.value) * seg.width + seg.rise * seg.start
+    for start, value, rise, width in curve.segments:
+        coeff = (q_total - value) * width + rise * start
         if coeff <= 0:
-            raise InvariantError(f"closed-form span: segment at {seg.start} has coefficient {coeff} <= 0")
-        root = -(-(beta * seg.width + seg.rise * memory) // coeff)
+            raise InvariantError(f"closed-form span: segment at {start} has coefficient {coeff} <= 0")
+        root = -(-(beta * width + rise * memory) // coeff)
         least = root if least is None or root < least else least
     root = max(span, -(-memory // curve.q), least)
     return root if limit is None or root <= limit else None
@@ -162,9 +162,9 @@ def _view_span(
     curves = [(0, curve_for_core(budgets, core)), *((iv.length, curve_for_core(iv.budgets, core)) for iv in history)]
     scale = max(curve.q for _, curve in curves) ** 2
     pieces = sorted(
-        (-(seg.rise * scale // seg.width), seg.rise, seg.width, periods, not periods)
+        (-(rise * scale // width), rise, width, periods, not periods)
         for periods, curve in curves
-        for seg in curve.segments
+        for _, _, rise, width in curve.segments
     )
     # Running sums over the pieces steeper than the current one: rises and
     # widths, history pieces weighted by L_j, tail pieces unweighted.

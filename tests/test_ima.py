@@ -50,6 +50,7 @@ from membw.ima import (
     _reclaim_vector,
     split_budget_by_weights,
 )
+from membw.static_analysis import _static_span
 
 CFG = ExperimentConfig(m=4, mir=Fraction(1, 4), u=Fraction(1, 2))
 
@@ -536,11 +537,26 @@ def test_dy_completions_bound_the_simulated_worst_case():
     # closed forms: every per-period access pattern over the as-built
     # schedule from the partition's start, each period charged its raw
     # worst-case stall. No pattern may finish later than the recorded span.
+    # SE and SU are checked the same way under their one vector, for every
+    # set they call schedulable.
     horizon = TinyConfig.hyperperiod_periods
     schedulable = changed = checked = 0
+    static_sets = {"SE": 0, "SU": 0}
     for index in range(300):
         cfg = TinyConfig(m=3, mir=(Fraction(0), Fraction(1, 2), Fraction(1))[index % 3], u=Fraction(3 + index % 7, 10))
         pset = generate_partition_set(cfg, random.Random(index))
+        for policy, vector in (("SE", policy_se(cfg)), ("SU", policy_su(pset, cfg))):
+            if not evaluate_schedulability(pset, policy, cfg):
+                continue
+            static_sets[policy] += 1
+            static = MemorySchedule.static(vector)
+            for core in range(1, cfg.m + 1):
+                start = 0
+                for part in pset.by_core(core):
+                    span = _static_span(vector, core, part.execution, part.memory, horizon - start)
+                    workload = Workload(execution=part.execution, memory=part.memory)
+                    assert worst_case_span_by_simulation(workload, static, core, horizon - start) <= span
+                    start += span
         outcome = policy_dy(pset, cfg)
         if not outcome.schedulable:
             continue
@@ -560,6 +576,7 @@ def test_dy_completions_bound_the_simulated_worst_case():
     assert 0 < schedulable < 300
     assert changed > 0
     assert checked == 6 * schedulable
+    assert 0 < static_sets["SE"] < 300 and 0 < static_sets["SU"] < 300
 
 
 class TestEvaluation:

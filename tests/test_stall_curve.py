@@ -1,9 +1,10 @@
 """Stall-curve construction: raw interference points and their concave envelope."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from membw import (
@@ -15,6 +16,7 @@ from membw import (
     build_raw_points,
     concave_envelope,
     curve_for_core,
+    stall_curve,
 )
 
 VEC = BudgetVector((2, 2, 5, 7))
@@ -31,6 +33,15 @@ def vector_and_core(draw, max_m: int = 5, max_q: int = 9):
     vec = draw(budget_vectors(max_m, max_q))
     core = draw(st.integers(1, vec.m))
     return vec, core
+
+
+@st.composite
+def vector_and_order(draw, max_m: int = 6, max_q: int = 40):
+    """Budgets drawn from a few values and 1, so that repeats and budgets of
+    1 are common, single cores included, and the cores in a drawn order."""
+    values = draw(st.lists(st.integers(1, max_q), min_size=1, max_size=4))
+    budgets = draw(st.lists(st.sampled_from([1, *values]), min_size=1, max_size=max_m))
+    return tuple(budgets), draw(st.permutations(range(1, len(budgets) + 1)))
 
 
 class TestBudgetVector:
@@ -132,13 +143,22 @@ class TestEnvelope:
         curve = curve_for_core(vec, core)
         assert all(seg.slope >= 0 for seg in curve.segments)
 
-    @given(vector_and_core(max_m=6, max_q=40))
-    @settings(max_examples=60)
-    def test_compressed_construction_matches_full_hull(self, vc):
-        vec, core = vc
-        fast = curve_for_core(vec, core)
-        full = concave_envelope(build_raw_points(vec, core))
-        assert fast.segments == full.segments
+    @given(vector_and_order())
+    @example(((1, 2, 3), (2, 3, 1)))  # core 2's (1, 2) is collinear with (0, 0) and (2, 4)
+    @example(((1,), (1,)))
+    @example(((1, 1, 1), (3, 1, 2)))
+    @settings(max_examples=100)
+    def test_compressed_construction_matches_full_hull(self, vo):
+        # Every core of a fresh vector's table, built in a drawn order,
+        # against the hull of all q + 1 raw points.
+        budgets, order = vo
+        stall_curve._cached_curve.cache_clear()
+        vec = BudgetVector(budgets)
+        for core in order:
+            fast = curve_for_core(vec, core)
+            full = concave_envelope(build_raw_points(vec, core))
+            assert fast == full
+            assert all(type(seg) is Segment for seg in fast.segments)
 
 
 class TestStallOver:
@@ -164,6 +184,21 @@ def test_curve_serialization_roundtrip_fields():
     assert blob["q"] == 5
     assert blob["start_points"] == [0, 2]
     assert blob["segments"][1] == {"start": 2, "value": 6, "slope": "5/3", "width": 3}
+
+
+def test_curve_and_vector_pickle():
+    # A vector pickles with the curve table curve_for_core pinned on it.
+    vec = BudgetVector(VEC.budgets)
+    curve = curve_for_core(vec, 3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(curve, protocol))
+        assert copy == curve
+        assert [type(seg) for seg in copy.segments] == [Segment, Segment]
+        assert copy.segments[1].slope == Fraction(5, 3)
+        twin = pickle.loads(pickle.dumps(vec, protocol))
+        assert twin == vec and hash(twin) == hash(vec)
+        assert curve_for_core(twin, 3) == curve
+        assert curve_for_core(twin, 4) == concave_envelope(build_raw_points(VEC, 4))
 
 
 def test_segment_stores_integer_rise():
