@@ -20,10 +20,10 @@ and the breakdown take curves for that reached prefix only. An unreached
 interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
-with the split + greedy S above as its one stall term, and the record it
-writes, :class:`AnalysisResult`. Both public analyzers run this kernel:
-:func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
-interval. The loop takes integers; the public analyzers check Q against the
+:func:`_dynamic_span`, which runs the split + greedy above at its iterates,
+and the record it writes, :class:`AnalysisResult`. Both public analyzers
+run this kernel: :func:`membw.static_analysis.analyze_static` on a schedule
+of one unbounded interval. The loop takes integers; the public analyzers check Q against the
 config and the core against the schedule, and turn the deadline into
 periods first. The IMA policies run no loop: every view they analyze ends
 in an unbounded vector, and its least root has a closed form in
@@ -38,17 +38,17 @@ result's trace (one per iterate) or breakdown (one per interval) is read.
 While mu exceeds the span's capacity (the distributor reports ``saturated``)
 the iteration climbs slowly, often one period per iterate, and S is affine in
 W until the last interval the span reaches ends or its capacity catches up
-with mu. The stall term reports that piece as a stride. Along a stride the
-step to the next iterate never grows, so the loop crosses each run of equal
-steps in one jump and records it as one entry; it calls the split and the
-greedy again only where the stride ends. A climb of n iterates thus
-costs O(runs), not O(n), in time and in record size.
+with mu. The loop reads that piece as a stride. Along a stride the step to
+the next iterate never grows, so the loop crosses each run of equal steps in
+one jump and records it as one entry; it calls the split and the greedy
+again only where the stride ends. A climb of n iterates thus costs O(runs),
+not O(n), in time and in record size.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +56,7 @@ from heapq import heapify, heappop, heapreplace
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, curve_for_core
+from .stall_curve import StallCurve, _check_core, curve_for_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,46 +205,8 @@ def _limit(workload: Workload, schedule: MemorySchedule, core: int, config: Regu
             f"budgets sum to {schedule.q_total} but config provides "
             f"{config.transactions_per_period} transactions per period"
         )
-    if not 1 <= core <= schedule.m:
-        raise InvariantError(f"core index {core} outside [1..{schedule.m}]")
+    _check_core(schedule.m, core)
     return deadline_periods(workload, config) if workload.deadline is not None else None
-
-
-def _dynamic_span(
-    schedule: MemorySchedule, core: int, execution: int, memory: int, limit: int | None
-) -> AnalysisResult:
-    """:func:`analyze_dynamic` on inputs already known valid: E >= 1,
-    mu >= 0, and the deadline as ``limit`` periods (None for none)."""
-    intervals = schedule.intervals
-    n = len(intervals)
-    # The curves of the intervals reached so far: spans only grow, and the
-    # intervals a span reaches are a prefix of the schedule.
-    curves: tuple[StallCurve, ...] = ()
-
-    def stall_term(span: int) -> tuple[int, int, tuple, tuple[int, int] | None]:
-        nonlocal curves
-        splits = split_span(schedule, span)
-        reached = n - splits.count(0)
-        if reached > len(curves):
-            curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : reached])
-        assignment = distribute_memory(splits, memory, curves)
-        stride = None
-        if assignment.saturated:
-            # Every interval is at capacity, so S is the integer sum of
-            # (Q - q^i) * W^i over den 1, and growing the span only lengthens
-            # j, the last interval it reaches: S rises by Q - q^j per period
-            # until j ends or the unplaced memory mu - sum(caps) no longer
-            # covers q^j more.
-            j = reached - 1
-            q = curves[j].q
-            last = span + (memory - assignment.total) // q
-            length = intervals[j].length
-            if length is not None:
-                last = min(last, span + length - splits[j])
-            stride = (schedule.q_total - q, last)
-        return *assignment.stall, (splits, assignment, curves), stride
-
-    return _fixed_point(execution + memory, limit, schedule.q_total, stall_term)
 
 
 class AnalysisStatus(enum.Enum):
@@ -275,7 +237,7 @@ class IntervalBreakdown:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Outcome of a span analysis: the record :func:`_fixed_point` wrote.
+    """Outcome of a span analysis: the record :func:`_dynamic_span` wrote.
 
     ``span`` is the converged worst-case span in periods (CONVERGED), or the
     first deadline-violating iterate (DEADLINE_MISS). ``length_slots`` =
@@ -285,8 +247,8 @@ class AnalysisResult:
     run of iterates as (span, stall numerator, stall denominator, span step,
     numerator step, count), whose iterate i, 0 <= i < count, has the span
     span + i * span step and the stall (numerator + i * numerator step) /
-    denominator. ``detail`` is the converged dynamic term's ``(splits,
-    assignment, curves)``, curves for the reached prefix only, or None.
+    denominator. ``detail`` is the fixed point's ``(splits, assignment,
+    curves)``, curves for the reached prefix only, or None.
 
     :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
     built from ``raw`` and ``detail`` when first read and cached, so callers
@@ -348,47 +310,21 @@ class AnalysisResult:
         return doc
 
 
-def _fixed_point(
-    beta: int,
-    limit: int | None,
-    q_total: int,
-    stall_term: Callable[[int], tuple[int, int, tuple | None, tuple[int, int] | None]],
+def _dynamic_span(
+    schedule: MemorySchedule, core: int, execution: int, memory: int, limit: int | None
 ) -> AnalysisResult:
-    """Least fixed point of W = ceil((beta + S(W)) / Q), for both analyzers.
+    """:func:`analyze_dynamic` on inputs already known valid: E >= 1,
+    mu >= 0, and the deadline as ``limit`` periods (None for none).
 
-    Every input is an integer the caller has checked: beta = E + mu >= 1,
-    ``limit`` the deadline in periods (None for none) and ``q_total`` = Q,
-    the budgets' total.
-
-    ``stall_term(W)`` returns the worst-case stall S(W) over a span of W
-    periods as a numerator and a positive denominator, both integers, the
-    data the result builds its breakdown from (``(splits, assignment,
-    curves)``, or None for no breakdown), and a stride: None, or
-    ``(rate, last)`` meaning S(W') = (num + rate * (W' - W)) / den for every
-    W' in [W, last], with last >= W and rate < Q * den. (The split + greedy
-    term's saturated stall is an integer over 1, so its rate is Q - q^j.) A
-    stride with rate >= Q * den raises :class:`InvariantError`. The loop
-    calls ``stall_term`` again only past ``last``.
-
-    Inside a stride the step from W' to its next iterate is
-    ceil((r - b * (W' - W)) / (Q * den)), with r = beta * den + num - Q * den * W
-    and b = Q * den - rate > 0, so it never grows with W'. If the step at W
-    is d, it stays d for the next
-
-        k = min(ceil((r - (d - 1) * Q * den) / (b * d)), (last - W) // d + 1)
-
-    iterates W, W + d, ..., W + (k - 1) * d, and the loop jumps W by k * d
-    in O(1). Here ``last`` is clamped to the largest span the loop admits:
-    the deadline in periods, or the defensive cap beta + 1 without one. The
-    loop takes that path only when the stride holds W + d too, so an iterate
-    outside a stride, or at its end, costs one plain step. A run is one
-    entry of the result's ``raw`` (see :class:`AnalysisResult`). The result
-    keeps the detail of the fixed point's ``stall_term`` call and builds its
-    trace and breakdown from the record and that detail when they are read.
+    The least fixed point of W = ceil((beta + S(W)) / Q), beta = E + mu and
+    Q the budgets' total, with S(W) the split + greedy stall over a span of
+    W periods: :func:`split_span`, then :func:`distribute_memory` over the
+    curves of the reached prefix, whose stall is a numerator over a positive
+    denominator, both integers.
 
     The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
-    with beta + S(W) <= Q * W. The split + greedy S(W) is the most stall mu
-    transactions can cause over W periods, each interval j stalling
+    with beta + S(W) <= Q * W. S(W) is the most stall mu transactions can
+    cause over W periods, each interval j stalling
     g^j(W^j, mu^j) = W^j * I^j(mu^j / W^j) with mu^j <= W^j * q^j. As I^j is
     concave with I^j(0) = 0, g^j is concave and non-decreasing in W^j, and
     one more period raises it by at most a tangent's intercept, at most
@@ -407,17 +343,45 @@ def _fixed_point(
     miss if it passes the deadline too. The tests check these claims
     against a plain scan.
 
-    The loop's one convergence guard rests on this contract: a term reports
-    a stride exactly when it is saturated, that is when the memory demand
-    fills the span's capacity: caps = sum of W^j * q^j <= mu. There every
-    interval stalls Q - q^j per period, so S(W') = Q * W' - caps and the
-    next iterate is W' + ceil((E + mu - caps) / Q) >= W' + 1, as E >= 1. So
-    no fixed point is saturated or lies inside a stride, and a fixed point
-    at W <= last raises :class:`InvariantError`. A
-    :class:`ScheduleExhaustedError` raised by ``stall_term`` ends the
+    While the greedy reports ``saturated``, the memory demand fills the
+    span's capacity, caps = sum of W^j * q^j <= mu, and every interval
+    stalls Q - q^j per period: S(W) = Q * W - caps over den 1. Growing the
+    span then only lengthens j, the last interval it reaches, so S rises by
+    rate = Q - q^j per period up to last, the first span where j ends or
+    the unplaced memory mu - caps no longer covers q^j more. That is a
+    stride: S(W') = num + rate * (W' - W) for every W' in [W, last], and the
+    loop runs the split and the greedy again only past ``last``. Inside a
+    stride the step from W' to its next iterate is
+    ceil((r - q^j * (W' - W)) / Q), with r = beta + num - Q * W, so it never
+    grows with W'. If the step at W is d, it stays d for the next
+
+        k = min(ceil((r - (d - 1) * Q) / (q^j * d)), (last - W) // d + 1)
+
+    iterates W, W + d, ..., W + (k - 1) * d, and the loop jumps W by k * d
+    in O(1). Here ``last`` is clamped to the largest span the loop admits:
+    the deadline in periods, or the defensive cap beta + 1 without one. The
+    loop takes that path only when the stride holds W + d too, so an iterate
+    outside a stride, or at its end, costs one plain step. A run is one
+    entry of the result's ``raw`` (see :class:`AnalysisResult`), so a climb
+    of n iterates costs O(runs) in time and in record size. The result
+    keeps the fixed point's ``(splits, assignment, curves)`` and builds its
+    trace and breakdown from the record and that detail when they are read.
+
+    The loop's one convergence guard: a saturated span is no fixed point.
+    There the next iterate is W' + ceil((E + mu - caps) / Q) >= W' + 1, as
+    E >= 1, and the stride ends before caps passes mu. So a fixed point at
+    W <= last raises :class:`InvariantError`, as does an iterate below its
+    predecessor. A :class:`ScheduleExhaustedError` from the split ends the
     analysis as schedule exhaustion. The defensive cap bounds the span, so
     it bounds the iterates however many a run covers.
     """
+    intervals = schedule.intervals
+    n = len(intervals)
+    q_total = schedule.q_total
+    beta = execution + memory
+    # The curves of the intervals reached so far: spans only grow, and the
+    # intervals a span reaches are a prefix of the schedule.
+    curves: tuple[StallCurve, ...] = ()
     span = -(-beta // q_total)
     raw = [(span, 0, 1)]
     # No iterate may pass top: the deadline, or else the defensive cap. A
@@ -425,26 +389,35 @@ def _fixed_point(
     # cap cannot fire on valid input; as every iterate but the last grows
     # the span, it also bounds the number of iterates.
     top = limit if limit is not None else beta + 1
-    # The current stride is S = (num + rate * (W - at)) / den for W <= last;
-    # spans start at 1, so last = 0 means no stride.
+    # The current stride is S = num + rate * (W - at) over den 1 for
+    # W <= last; spans start at 1, so last = 0 means no stride.
     rate = at = last = 0
     while span <= top:
         if span <= last:
             num += rate * (span - at)
         else:
             try:
-                num, den, detail, stride = stall_term(span)
+                splits = split_span(schedule, span)
             except ScheduleExhaustedError as exc:
                 status = AnalysisStatus.SCHEDULE_EXHAUSTED
                 return AnalysisResult(status, span, None, tuple(raw), shortfall=exc.shortfall)
+            reached = n - splits.count(0)
+            if reached > len(curves):
+                curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : reached])
+            assignment = distribute_memory(splits, memory, curves)
+            num, den = assignment.stall
             beta_den, q_den = beta * den, q_total * den
-            if stride is None:
-                rate = last = 0
-            else:
-                rate, last = stride
-                if rate >= q_den:
-                    raise InvariantError("a stride's stall must rise by less than Q per period")
-                last = min(last, top)
+            rate = last = 0
+            if assignment.saturated:
+                # A stride up to the end of j or of the unplaced memory (see
+                # the docstring).
+                j = reached - 1
+                q = curves[j].q
+                rate = q_total - q
+                last = min(span + (memory - assignment.total) // q, top)
+                length = intervals[j].length
+                if length is not None:
+                    last = min(last, span + length - splits[j])
         at = span
         nxt = -(-(beta_den + num) // q_den)
         if nxt < span:
@@ -453,6 +426,7 @@ def _fixed_point(
             if span <= last:
                 raise InvariantError("a saturated stride cannot hold a fixed point")
             raw.append((nxt, num, den))
+            detail = (splits, assignment, curves)
             return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)
         if nxt <= last:
             # The stride holds the next iterate too: take the whole run of

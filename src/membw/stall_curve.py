@@ -54,16 +54,18 @@ from .errors import InvariantError
 class BudgetVector:
     """Per-core memory budgets (transactions per regulation period).
 
-    Core indices are 1-based throughout the package. The scalar total is the
-    per-period transaction capacity Q of the memory system; the model assumes
-    the budgets exhaust it. Single-entry vectors are accepted so degenerate
-    no-interference curves can be built in tests.
+    Core indices are 1-based throughout the package. The scalar ``total``,
+    summed once at construction, is the per-period transaction capacity Q of
+    the memory system; the model assumes the budgets exhaust it.
+    Single-entry vectors are accepted so degenerate no-interference curves
+    can be built in tests.
 
     :func:`curve_for_core` pins the vector's curve table on the instance on
     its first call, so later calls on it skip the cache lookup.
     """
 
     budgets: tuple[int, ...]
+    total: int = field(init=False, repr=False, compare=False)
     _curves: _CurveTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,15 +74,11 @@ class BudgetVector:
         for i, q in enumerate(self.budgets, start=1):
             if not isinstance(q, int) or q < 1:
                 raise InvariantError(f"budget vector: every budget must be an integer >= 1, got q_{i} = {q!r}")
+        object.__setattr__(self, "total", sum(self.budgets))
 
     @property
     def m(self) -> int:
         return len(self.budgets)
-
-    @property
-    def total(self) -> int:
-        """Total transactions per period (the scalar Q)."""
-        return sum(self.budgets)
 
     def budget_of(self, core: int) -> int:
         _check_core(self.m, core)

@@ -16,7 +16,7 @@ with beta = E + mu. One vector has no intervals to break the stall over, so
 a static result's ``breakdown`` is None.
 
 The loop's span is the least root of beta + S(W) <= Q * W (the argument is
-in :func:`membw.dynamic_analysis._fixed_point`'s docstring), and under one
+in :func:`membw.dynamic_analysis._dynamic_span`'s docstring), and under one
 unbounded vector that root has a closed form, :func:`_static_span`. No
 saturated span W < mu / q is a root: there S(W) = (Q - q) * W and
 beta >= mu > q * W. For W >= mu / q the rate mu / W lies in the curve's

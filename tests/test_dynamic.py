@@ -35,7 +35,6 @@ from membw import (
     stall_breakdown,
 )
 from membw import dynamic_analysis
-from membw.dynamic_analysis import _fixed_point
 from membw.errors import InvariantError
 
 CFG16 = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
@@ -407,38 +406,32 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
         result.span = 0
 
 
-# The loop's guards, driven by fake stall terms: beta = 10 and Q = 10, so the
-# first iterate is W = 1 and a zero stall holds it.
+# The loop's guards, driven by a fake greedy: E = 10, mu = 0 and Q = 10, so
+# the first iterate is W = 1 and a zero stall holds it.
 @pytest.mark.parametrize(
-    ("stall_term", "message"),
+    ("distribute", "message"),
     [
-        # A stride reported over the term's own fixed point.
-        (lambda w: (0, 1, None, (0, 100)), "saturated stride cannot hold a fixed point"),
+        # A saturated assignment at the loop's own fixed point.
+        (lambda splits, memory, curves: MemoryAssignment((0,), True, (0, 1)), "saturated stride cannot hold"),
         # S(1) = 100 sends W to 11, where the stall falls back to 0.
-        (lambda w: (100 if w == 1 else 0, 1, None, None), "non-decreasing"),
+        (
+            lambda splits, memory, curves: MemoryAssignment((0,), False, (100 if splits == (1,) else 0, 1)),
+            "non-decreasing",
+        ),
         # W + 1 forever.
-        (lambda w: (10 * w, 1, None, None), "defensive cap"),
-        # A stride whose stall rises Q per period: its step would never fall.
-        (lambda w: (10 * w, 1, None, (10, 100)), "rise by less than Q per period"),
+        (lambda splits, memory, curves: MemoryAssignment((0,), False, (10 * splits[0], 1)), "defensive cap"),
     ],
-    ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point", "stride-rate-at-q"],
+    ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point"],
 )
-def test_fixed_point_guards(stall_term, message):
+def test_fixed_point_guards(monkeypatch, distribute, message):
+    monkeypatch.setattr(dynamic_analysis, "distribute_memory", distribute)
     with pytest.raises(InvariantError, match=message):
-        _fixed_point(10, None, 10, stall_term)
+        dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, 0, None)
 
 
 def test_the_record_lives_with_the_loop():
     for name in ("AnalysisResult", "AnalysisStatus", "TraceEntry", "IntervalBreakdown"):
         assert getattr(membw, name) is getattr(dynamic_analysis, name)
-
-
-def test_fixed_point_keeps_the_converged_detail():
-    detail = ("splits", "assignment", "curves")
-    result = _fixed_point(10, None, 10, lambda w: (0, 1, detail, None))
-    assert result.status is AnalysisStatus.CONVERGED
-    assert result.span == 1
-    assert result.detail is detail
 
 
 def test_trace_and_breakdown_are_built_once():
@@ -657,6 +650,12 @@ def test_run_walk_matches_one_iterate_at_a_time():
                 expected = _one_iterate_at_a_time(wl, q_total, cfg, dynamic_stall)
                 assert [(t.span, t.stall) for t in result.trace] == expected[3]
                 assert result.to_json_dict() == _expected_json(*expected, q_total)
+                if result.converged:
+                    # The breakdown is the fixed point's own split and greedy.
+                    splits = split_span(schedule, result.span)
+                    assignment = distribute_memory(splits, wl.memory, curves)
+                    rows = zip(splits, assignment.per_interval, stall_breakdown(splits, assignment, curves))
+                    assert [(b.span, b.memory, b.stall) for b in result.breakdown] == list(rows)
         for wl in (deadlined, free):
             _assert_static_recurrence((analyze_static(wl, budgets, 1, cfg),), wl, budgets, 1, cfg)
         seen["multi-iterate run"] += any(_runs(result) for result in results.values())

@@ -532,51 +532,76 @@ class TinyConfig(ExperimentConfig):
     regulation: ClassVar[RegulationConfig] = RegulationConfig(period=period, l_max=slot, q_total=q_total)
 
 
+def _bound_the_simulation(pset: PartitionSet, cfg: TinyConfig) -> tuple[set[str], bool, int]:
+    """Check each policy's spans on ``pset`` against an oracle that shares
+    nothing with the closed forms: every per-period access pattern over the
+    schedule from the partition's start, each period charged its raw
+    worst-case stall. No pattern may finish later than the span. SE and SU
+    are checked under their one vector, DY over its as-built schedule, each
+    for a set it calls schedulable.
+
+    Returns the policies that call the set schedulable, whether DY's
+    schedule changes vector, and how many DY partitions were checked."""
+    horizon = cfg.hyperperiod_periods
+    passed = set()
+    for policy, vector in (("SE", policy_se(cfg)), ("SU", policy_su(pset, cfg))):
+        if not evaluate_schedulability(pset, policy, cfg):
+            continue
+        passed.add(policy)
+        static = MemorySchedule.static(vector)
+        for core in range(1, cfg.m + 1):
+            start = 0
+            for part in pset.by_core(core):
+                span = _static_span(vector, core, part.execution, part.memory, horizon - start)
+                workload = Workload(execution=part.execution, memory=part.memory)
+                assert worst_case_span_by_simulation(workload, static, core, horizon - start) <= span
+                start += span
+    outcome = policy_dy(pset, cfg)
+    if not outcome.schedulable:
+        return passed, False, 0
+    passed.add("DY")
+    checked = 0
+    for core in range(1, cfg.m + 1):
+        start = 0
+        for part in pset.by_core(core):
+            end = outcome.completions[part.id]
+            workload = Workload(execution=part.execution, memory=part.memory)
+            view = _tail(outcome.schedule, start)
+            assert worst_case_span_by_simulation(workload, view, core, horizon - start) <= end - start
+            checked += 1
+            start = end
+    return passed, len({iv.budgets for iv in outcome.schedule.intervals}) > 1, checked
+
+
 def test_dy_completions_bound_the_simulated_worst_case():
-    # DY's recorded spans against an oracle that shares nothing with the
-    # closed forms: every per-period access pattern over the as-built
-    # schedule from the partition's start, each period charged its raw
-    # worst-case stall. No pattern may finish later than the recorded span.
-    # SE and SU are checked the same way under their one vector, for every
-    # set they call schedulable.
-    horizon = TinyConfig.hyperperiod_periods
+    # Every policy against the brute-force simulation on 300 seeded sets.
     schedulable = changed = checked = 0
     static_sets = {"SE": 0, "SU": 0}
     for index in range(300):
         cfg = TinyConfig(m=3, mir=(Fraction(0), Fraction(1, 2), Fraction(1))[index % 3], u=Fraction(3 + index % 7, 10))
-        pset = generate_partition_set(cfg, random.Random(index))
-        for policy, vector in (("SE", policy_se(cfg)), ("SU", policy_su(pset, cfg))):
-            if not evaluate_schedulability(pset, policy, cfg):
-                continue
-            static_sets[policy] += 1
-            static = MemorySchedule.static(vector)
-            for core in range(1, cfg.m + 1):
-                start = 0
-                for part in pset.by_core(core):
-                    span = _static_span(vector, core, part.execution, part.memory, horizon - start)
-                    workload = Workload(execution=part.execution, memory=part.memory)
-                    assert worst_case_span_by_simulation(workload, static, core, horizon - start) <= span
-                    start += span
-        outcome = policy_dy(pset, cfg)
-        if not outcome.schedulable:
-            continue
-        schedulable += 1
-        changed += len({iv.budgets for iv in outcome.schedule.intervals}) > 1
-        for core in range(1, cfg.m + 1):
-            start = 0
-            for part in pset.by_core(core):
-                end = outcome.completions[part.id]
-                workload = Workload(execution=part.execution, memory=part.memory)
-                view = _tail(outcome.schedule, start)
-                assert worst_case_span_by_simulation(workload, view, core, horizon - start) <= end - start
-                checked += 1
-                start = end
+        passed, vector_changed, dy_checked = _bound_the_simulation(generate_partition_set(cfg, random.Random(index)), cfg)
+        for policy in static_sets:
+            static_sets[policy] += policy in passed
+        schedulable += "DY" in passed
+        changed += vector_changed
+        checked += dy_checked
     # Both kinds of set occur, and a vector change sends some views through
     # _view_span.
     assert 0 < schedulable < 300
     assert changed > 0
     assert checked == 6 * schedulable
     assert 0 < static_sets["SE"] < 300 and 0 < static_sets["SU"] < 300
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    mir=st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))),
+    u=st.integers(3, 9),
+)
+def test_every_policy_bounds_the_simulated_worst_case_on_a_drawn_seed(seed, mir, u):
+    cfg = TinyConfig(m=3, mir=mir, u=Fraction(u, 10))
+    _bound_the_simulation(generate_partition_set(cfg, random.Random(seed)), cfg)
 
 
 class TestEvaluation:
