@@ -429,6 +429,20 @@ def test_fixed_point_guards(monkeypatch, distribute, message):
         dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, 0, None)
 
 
+def test_fixed_point_keeps_the_converged_detail(monkeypatch):
+    # The fake greedy's zero stall holds the first iterate, W = 1: the result
+    # keeps that iterate's own split, assignment and curves.
+    assignment = MemoryAssignment((0,), False, (0, 1))
+    monkeypatch.setattr(dynamic_analysis, "distribute_memory", lambda splits, memory, curves: assignment)
+    result = dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, 0, None)
+    assert result.status is AnalysisStatus.CONVERGED
+    assert result.span == 1
+    splits, kept, curves = result.detail
+    assert splits == (1,)
+    assert kept is assignment
+    assert curves == (curve_for_core(BudgetVector((5, 5)), 1),)
+
+
 def test_the_record_lives_with_the_loop():
     for name in ("AnalysisResult", "AnalysisStatus", "TraceEntry", "IntervalBreakdown"):
         assert getattr(membw, name) is getattr(dynamic_analysis, name)
