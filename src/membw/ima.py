@@ -52,10 +52,9 @@ intensity is drawn uniformly from the mode's range. Demands follow as
 E = round(u * H * (1 - MI) / slot) clamped >= 1 and mu = round(u * H * MI / slot),
 rounding halves up. Every float drawn is dyadic, so both are computed
 exactly in integers: UUniFast telescopes on (numerator, denominator) pairs,
-H / slot is the integer H in slots, and rounding is one floor division. A
-partition keeps the MI draw as its float and its utilization as the
-unreduced UUniFast pair, so generation builds no Fraction; ``Partition.mi``
-and ``Partition.util`` build the exact reduced values on read. The float
+H / slot is the integer H in slots, and rounding is one floor division, so
+generation builds no Fraction. MI and U only shape the draw: a partition
+keeps just its core and (E, mu), which is all a policy reads. The float
 bounds of the two MI ranges are taken once per set.
 Draw order (one seeded generator per set): HIGH-mode sample, core
 permutation, per-core UUniFast in core order, per-partition MI in id order.
@@ -83,8 +82,8 @@ POLICIES = ("SE", "SU", "DY")
 
 class Ratio(NamedTuple):
     """An unreduced integer ratio numerator / denominator (a budget weight or
-    a utilization), built without the gcd a :class:`Fraction` takes; read
-    like an int or a Fraction weight."""
+    a UUniFast utilization), built without the gcd a :class:`Fraction`
+    takes; read like an int or a Fraction weight."""
 
     numerator: int
     denominator: int
@@ -92,28 +91,16 @@ class Ratio(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Partition:
-    """One IMA partition: an (E, mu) workload with deadline H.
+    """One IMA partition on its core: an (E, mu) workload with deadline H.
 
-    It keeps what generation drew: ``mi_draw``, the memory intensity as the
-    float drawn (dyadic, so ``Fraction(mi_draw)`` is exact), and
-    ``util_ratio``, the utilization as UUniFast's unreduced pair. ``mi`` and
-    ``util`` build the reduced Fractions on read; no policy reads them.
+    Generation draws its memory intensity and utilization only to compute
+    E and mu, and keeps neither.
     """
 
     id: int
     core: int
-    mi_draw: float
-    util_ratio: Ratio
     execution: int
     memory: int
-
-    @property
-    def mi(self) -> Fraction:
-        return Fraction(self.mi_draw)
-
-    @property
-    def util(self) -> Fraction:
-        return Fraction(*self.util_ratio)
 
     def workload(self, deadline: Fraction) -> Workload:
         return Workload(execution=self.execution, memory=self.memory, deadline=deadline)
@@ -222,14 +209,13 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     slots = config.hyperperiod_slots
     partitions = []
     for pid in range(n):
-        mi = rng.uniform(*(high if pid in high_ids else low))
-        mi_num, mi_den = mi.as_integer_ratio()
+        mi_num, mi_den = rng.uniform(*(high if pid in high_ids else low)).as_integer_ratio()
         util = util_of[pid]
         # demand * MI = u * (H / slot) * MI, over the denominator u_den * mi_den.
         scaled, den = util.numerator * slots, util.denominator * mi_den
         execution = max(1, _round_half_up(scaled * (mi_den - mi_num), den))
         memory = _round_half_up(scaled * mi_num, den)
-        partitions.append(Partition(pid, core_of[pid], mi, util, execution, memory))
+        partitions.append(Partition(pid, core_of[pid], execution, memory))
     return PartitionSet(partitions=tuple(partitions))
 
 
@@ -344,10 +330,20 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     partition's start period with ``len(built)`` at that start. A partition
     is hypothesized when it starts, over the current vector alone, and again
     whenever the vector changes, over the intervals built since its start
-    and then the new vector (see ``_hypothesize_span``). The earliest
-    hypothesis is the next event, and it matches the as-built schedule
-    through the completion. The returned schedule is ``built`` plus the
-    unbounded tail: one interval per event, unmerged.
+    and then the new vector, unbounded. The earliest hypothesis is the next
+    event, and it matches the as-built schedule through the completion. The
+    returned schedule is ``built`` plus the unbounded tail: one interval per
+    event, unmerged.
+
+    A hypothesis is a span from the partition's start, or None if it cannot
+    converge within the H - start periods left. With no history (the
+    partition has just started) the view is one vector, solved by
+    ``_static_span``. Otherwise the vector has just changed while the
+    partition ran, so no span up to the history's length was a root of its
+    previous view, which agrees with this one that far: the least root lies
+    past the history, as ``_view_span`` requires. Runs of equal vectors in
+    the history need no merging. Both closed forms give the kernel's least
+    root.
     """
     horizon = config.hyperperiod_periods
     queues = {core: list(pset.by_core(core)) for core in range(1, config.m + 1)}
@@ -365,7 +361,14 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     while starts:
         for core, (start, first) in starts.items():
             if core not in events:
-                span = _hypothesize_span(queues[core][0], start, built[first:], current_vec, config)
+                # Generation guarantees E >= 1 and mu >= 0 and every vector
+                # here is over the config's Q, so the closed forms run
+                # without the public checks.
+                part, limit = queues[core][0], horizon - start
+                if first == len(built):
+                    span = _static_span(current_vec, core, part.execution, part.memory, limit)
+                else:
+                    span = _view_span(built[first:], current_vec, core, part.execution, part.memory, limit)
                 events[core] = None if span is None else start + span
         pending = [t for t in events.values() if t is not None]
         if not pending:
@@ -396,33 +399,6 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     return DynamicPolicyOutcome(schedule=schedule, completions=completions)
 
 
-def _hypothesize_span(
-    part: Partition,
-    start: int,
-    history: list[BudgetInterval],
-    current_vec: BudgetVector,
-    config: ExperimentConfig,
-) -> int | None:
-    """Span of ``part`` from its start period under the schedule so far, or
-    None if it cannot converge within its slice of the hyperperiod.
-
-    The view is ``history``, the intervals built since ``start``, then
-    ``current_vec`` unbounded. With no history (the partition has just
-    started) it is one vector, solved by ``_static_span``. Otherwise the
-    vector has just changed while the partition ran, so no span up to the
-    history's length was a root of its previous view, which agrees with this
-    one that far: the least root lies past the history, as ``_view_span``
-    requires. Runs of equal vectors in the history need no merging. Both
-    closed forms give the kernel's least root.
-    """
-    # Generation guarantees E >= 1 and mu >= 0 and every vector here is over
-    # the config's Q, so the closed forms run without the public checks.
-    limit = config.hyperperiod_periods - start
-    if not history:
-        return _static_span(current_vec, part.core, part.execution, part.memory, limit)
-    return _view_span(history, current_vec, part.core, part.execution, part.memory, limit)
-
-
 def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentConfig) -> bool:
     """True iff every core's last partition completes by H under ``policy``."""
     if policy == "DY":
@@ -434,7 +410,7 @@ def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentC
     else:
         raise InvariantError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    # As in _hypothesize_span, the closed form runs without the public checks.
+    # As in policy_dy, the closed form runs without the public checks.
     for core in range(1, config.m + 1):
         start = 0
         for part in pset.by_core(core):

@@ -52,13 +52,6 @@ class RegulationConfig:
         """Total transactions servable per period (the scalar Q)."""
         return self.q_total if self.q_total is not None else self.period // self.l_max
 
-    @property
-    def slot(self) -> Fraction:
-        """Effective worst-case latency of one transaction, in seconds."""
-        if self.q_total is not None:
-            return self.period / self.q_total
-        return self.l_max
-
 
 @dataclass(frozen=True, slots=True)
 class Workload:
@@ -66,8 +59,8 @@ class Workload:
 
     ``deadline`` is relative to the workload's release (a period boundary) in
     seconds; None means the analysis runs to convergence without a deadline
-    check. beta = E + mu is the span lower bound in slots: even with zero
-    stall the workload occupies that many.
+    check. The analyzers' beta = E + mu is the span lower bound in slots:
+    even with zero stall the workload occupies that many.
     """
 
     execution: int
@@ -81,10 +74,6 @@ class Workload:
             raise InvariantError("workload: memory demand mu must be an integer >= 0")
         if self.deadline is not None and self.deadline <= 0:
             raise InvariantError("workload: deadline must be > 0 when given")
-
-    @property
-    def beta(self) -> int:
-        return self.execution + self.memory
 
 
 @dataclass(frozen=True, slots=True)

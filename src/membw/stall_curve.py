@@ -40,7 +40,7 @@ most, and is built only when asked for.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,11 +84,6 @@ class BudgetVector:
         _check_core(self.m, core)
         return self.budgets[core - 1]
 
-    def others(self, core: int) -> tuple[int, ...]:
-        """Budgets of every core except ``core``."""
-        _check_core(self.m, core)
-        return self.budgets[: core - 1] + self.budgets[core:]
-
 
 def _check_core(m: int, core: int) -> None:
     if not 1 <= core <= m:
@@ -119,7 +114,7 @@ class RawStallPoints:
 def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
     """Evaluate the raw stall values I(0..q) for ``core`` under ``budgets``, in O(q log m)."""
     q = budgets.budget_of(core)
-    others = sorted(budgets.others(core))
+    others = sorted(budgets.budgets[: core - 1] + budgets.budgets[core:])
     # For k < q, I(k) - I(k - 1) is the number of other budgets >= k.
     values = list(accumulate((len(others) - bisect_left(others, k) for k in range(1, q)), initial=0))
     values.append(budgets.total - q)
@@ -186,19 +181,9 @@ class StallCurve:
         if pos != self.q:
             raise InvariantError(f"stall curve: segments cover [0, {pos}] but domain is [0, {self.q}]")
 
-    def value_at(self, r: int | Fraction) -> Fraction:
-        """Evaluate the envelope at rate ``r`` (transactions per period), exactly.
-
-        Only tests call this: it is their ``Fraction`` reference for
-        :meth:`stall_over`'s integer segment search.
-        """
-        if r < 0 or r > self.q:
-            raise InvariantError(f"rate {r} outside curve domain [0, {self.q}]")
-        seg = self.segments[bisect_right(self.segments, r, key=lambda s: s.start) - 1]
-        return seg.value + seg.slope * (r - seg.start)
-
     def stall_over(self, span: int, memory: int) -> Fraction:
-        """Exact span-cumulative stall: value_at(memory / span) * span.
+        """Exact span-cumulative stall: the curve's value at rate
+        ``memory / span``, times ``span``.
 
         Requires 0 <= memory <= span * q. The stall is value * span + rise *
         (memory - start * span) / width on the segment that ``memory / span``

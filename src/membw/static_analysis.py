@@ -26,17 +26,21 @@ reads y + r * (rho - s) / w at rate rho, so
 
     S(W) = min over e of (y * W + r * (mu - s * W) / w),
 
-and W is a root exactly when some segment e has
+and such a W is a root exactly when some segment e has
 
     beta * w + r * mu <= W * coeff_e,   coeff_e = (Q - y) * w + r * s.
 
 The coefficient is w times Q less the line's intercept y - r * s / w, which
 lies in [0, Q - q] (the curve is concave, non-decreasing, with I(0) = 0 and
 at most Q - q), so it is at least w * q > 0, and segment e admits every W
-from one ceiling division on. The least root is therefore
+from one ceiling division on. Nor is any W that segment e admits below
+ceil(beta / Q) or saturated. The inequality reads beta + W * line(mu / W)
+<= Q * W, and the line lies on or above the concave curve and does not
+fall, so it reads at least 0 at every rate and at least I(q) = Q - q past
+q. So W >= beta / Q, and mu / W <= q, since a rate past q would give
+beta <= q * W < mu. The least root is therefore
 
-    R = max(ceil(beta / Q), ceil(mu / q), min over e of
-            ceil((beta * w + r * mu) / coeff_e)),
+    R = min over e of ceil((beta * w + r * mu) / coeff_e),
 
 O(m) for a curve of at most m segments, with no iteration, result or trace.
 
@@ -116,8 +120,7 @@ def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, 
     """
     q_total = budgets.total
     beta = execution + memory
-    span = -(-beta // q_total)
-    if limit is not None and span > limit:
+    if limit is not None and -(-beta // q_total) > limit:
         return None
     curve = curve_for_core(budgets, core)
     # The least segment root, kept as the loop goes: collecting the roots
@@ -129,8 +132,7 @@ def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, 
             raise InvariantError(f"closed-form span: segment at {start} has coefficient {coeff} <= 0")
         root = -(-(beta * width + rise * memory) // coeff)
         least = root if least is None or root < least else least
-    root = max(span, -(-memory // curve.q), least)
-    return root if limit is None or root <= limit else None
+    return least if limit is None or least <= limit else None
 
 
 def _view_span(

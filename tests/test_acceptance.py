@@ -71,7 +71,7 @@ def test_criterion_2_curve_goldens():
     increments = [b - a for a, b in zip(raw4.values, raw4.values[1:])]
     assert all(x >= y for x, y in zip(increments, increments[1:])), "core 4 raw curve must be concave"
     for k, v in enumerate(raw4.values):
-        assert curve4.value_at(k) == v
+        assert curve4.stall_over(1, k) == v
     _report("2 curve goldens", "core-3 points [0,3,6,7,8,11]; core-4 envelope identical to raw")
 
 
@@ -128,11 +128,12 @@ def _static_recurrence(wl: Workload, budgets: BudgetVector, core: int) -> list[t
     W_(k) = ceil((beta + I(min(mu / W_(k-1), q)) * W_(k-1)) / Q), run to its
     fixed point with exact stalls; returns every iterate's (W, S)."""
     curve = curve_for_core(budgets, core)
-    span = -(-wl.beta // budgets.total)
+    beta = wl.execution + wl.memory
+    span = -(-beta // budgets.total)
     trace = [(span, Fraction(0))]
     while True:
         stall = curve.stall_over(span, min(wl.memory, span * curve.q))
-        trace.append((-(-(wl.beta + stall) // budgets.total), stall))
+        trace.append((-(-(beta + stall) // budgets.total), stall))
         if trace[-1][0] == span:
             return trace
         span = trace[-1][0]
@@ -177,7 +178,8 @@ def test_criterion_6_monotonicity_properties():
         curve = curve_for_core(budgets, core)
         a4, b4 = sorted(rng.sample(range(1, 4 * curve.q + 1), 2))
         a, b = Fraction(a4, 4), Fraction(b4, 4)
-        fa, fb = curve.value_at(a), curve.value_at(b)
+        # The curve at rates a and b: a span of 4 periods, over 4.
+        fa, fb = curve.stall_over(4, a4) / 4, curve.stall_over(4, b4) / 4
         assert fa - a * (fb - fa) / (b - a) >= 0, (budgets, core, a, b)
     _report("6 monotonicity properties", f"{trials} trials per property, zero counterexamples")
 

@@ -535,7 +535,7 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
         splits = split_span(schedule, prev.span)
         stall = sum(stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves))
         assert entry.stall == stall
-        assert entry.span == math.ceil((workload.beta + stall) / schedule.q_total)
+        assert entry.span == math.ceil((workload.execution + workload.memory + stall) / schedule.q_total)
 
 
 # E = 1 on a core holding one of Q = 41666 transactions per period: the
@@ -565,7 +565,8 @@ def _one_iterate_at_a_time(wl, q_total, cfg, stall):
 
     Returns (status, span, shortfall, trace as (span, stall) pairs)."""
     limit = deadline_periods(wl, cfg) if wl.deadline is not None else None
-    span = -(-wl.beta // q_total)
+    beta = wl.execution + wl.memory
+    span = -(-beta // q_total)
     trace = [(span, Fraction(0))]
     while True:
         if limit is not None and span > limit:
@@ -574,7 +575,7 @@ def _one_iterate_at_a_time(wl, q_total, cfg, stall):
             value = stall(span)
         except ScheduleExhaustedError as exc:
             return AnalysisStatus.SCHEDULE_EXHAUSTED, span, exc.shortfall, trace
-        nxt = math.ceil((wl.beta + value) / q_total)
+        nxt = math.ceil((beta + value) / q_total)
         trace.append((nxt, value))
         if nxt == span:
             return AnalysisStatus.CONVERGED, span, None, trace
@@ -780,7 +781,7 @@ def test_trace_is_self_consistent(inst):
         splits = split_span(schedule, prev.span)
         stall = sum(stall_breakdown(splits, distribute_memory(splits, wl.memory, curves), curves))
         assert entry.stall == stall
-        assert entry.span == math.ceil((wl.beta + stall) / schedule.q_total)
+        assert entry.span == math.ceil((wl.execution + wl.memory + stall) / schedule.q_total)
 
 
 def _interval_holding(schedule, period):
@@ -795,7 +796,7 @@ def test_the_span_is_the_least_root(inst):
     # Both analyzers, each against its own S(W) computed afresh: the dynamic
     # one across the schedule, the static one under its first vector.
     schedule, core, cfg, wl = inst
-    q_total, beta, memory = schedule.q_total, wl.beta, wl.memory
+    q_total, beta, memory = schedule.q_total, wl.execution + wl.memory, wl.memory
     curves = tuple(curve_for_core(iv.budgets, core) for iv in schedule.intervals)
     first = curves[0]
     lengths = [iv.length for iv in schedule.intervals]

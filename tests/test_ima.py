@@ -59,9 +59,30 @@ def _set(seed: int = 42, config: ExperimentConfig = CFG):
     return generate_partition_set(config, random.Random(seed))
 
 
+def _drawn(seed: int = 42, config: ExperimentConfig = CFG) -> dict[int, tuple[Fraction, Fraction]]:
+    """Each partition's exact (MI, U) by id, from a Fraction replay of the
+    draw order the ima module documents: the HIGH-mode sample, the core
+    permutation, UUniFast per core in core order, then MI per id."""
+    rng = random.Random(seed)
+    ppc = config.partitions_per_core
+    n = config.m * ppc
+    high = set(rng.sample(range(n), int(config.mir * n + Fraction(1, 2))))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    util = {}
+    for pos in range(0, n, ppc):
+        left = Fraction(config.u)
+        for i, pid in zip(range(ppc - 1, -1, -1), sorted(perm[pos : pos + ppc])):
+            kept = Fraction(rng.random() ** (1.0 / i)) if i else Fraction(0)
+            util[pid], left = left * (1 - kept), left * kept
+    high_range, low_range = tuple(map(float, config.high_range)), tuple(map(float, config.low_range))
+    return {pid: (Fraction(rng.uniform(*(high_range if pid in high else low_range))), util[pid]) for pid in range(n)}
+
+
 @pytest.fixture(scope="module")
 def edge_sets():
-    """60 seeded sets at each edge point: m 2/16 x MIr 0/1 x U 1/100, 1, 3/2.
+    """60 seeded sets at each edge point: m 2/16 x MIr 0/1 x U 1/100, 1, 3/2,
+    each with its replayed (MI, U) by id.
 
     At U = 1/100 UUniFast yields a few utilizations so small that E rounds
     to 0 and is clamped to 1, or mu rounds to 0.
@@ -71,7 +92,8 @@ def edge_sets():
     for m, mir, u in itertools.product((2, 16), (Fraction(0), Fraction(1)), us):
         cfg = ExperimentConfig(m=m, mir=mir, u=u)
         for index in range(60):
-            sets.append((cfg, generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, index)))))
+            seed = _derive_seed(1, m, mir, u, index)
+            sets.append((cfg, generate_partition_set(cfg, random.Random(seed)), _drawn(seed, cfg)))
     return sets
 
 
@@ -131,14 +153,14 @@ class TestGeneration:
             assert len(pset.by_core(core)) == 4
 
     def test_per_core_utilization_is_exact(self):
-        pset = _set()
+        pset, drawn = _set(), _drawn()
         for core in range(1, 5):
-            assert sum(p.util for p in pset.by_core(core)) == Fraction(1, 2)
+            assert sum(drawn[p.id][1] for p in pset.by_core(core)) == Fraction(1, 2)
 
     def test_high_mode_count(self):
-        pset = _set()
-        high = [p for p in pset.partitions if p.mi >= Fraction(1, 2)]
-        low = [p for p in pset.partitions if p.mi <= Fraction(1, 10)]
+        drawn = _drawn()
+        high = [mi for mi, _ in drawn.values() if mi >= Fraction(1, 2)]
+        low = [mi for mi, _ in drawn.values() if mi <= Fraction(1, 10)]
         assert len(high) == 4  # round(0.25 * 16)
         assert len(high) + len(low) == 16
 
@@ -149,41 +171,44 @@ class TestGeneration:
             assert p.memory >= 0
 
     def test_demand_arithmetic(self):
-        pset = _set(7)
+        # The replayed MI and U give every partition's E and mu.
+        pset, drawn = _set(7), _drawn(7)
         slot = CFG.slot
         for p in pset.partitions:
-            demand = p.util * CFG.hyperperiod / slot
-            assert p.execution == max(1, int(demand * (1 - p.mi) + Fraction(1, 2)))
-            assert p.memory == int(demand * p.mi + Fraction(1, 2))
+            mi, util = drawn[p.id]
+            demand = util * CFG.hyperperiod / slot
+            assert p.execution == max(1, int(demand * (1 - mi) + Fraction(1, 2)))
+            assert p.memory == int(demand * mi + Fraction(1, 2))
 
     def test_demand_arithmetic_at_edge_points(self, edge_sets):
         # test_demand_arithmetic's Fraction reference over the edge points,
         # which include E clamped to 1 and mu rounded to 0.
         clamped = zeroed = 0
-        for cfg, pset in edge_sets:
+        for cfg, pset, drawn in edge_sets:
             for p in pset.partitions:
-                assert type(p.mi) is Fraction and type(p.util) is Fraction
-                demand = p.util * cfg.hyperperiod / cfg.slot
-                rounded_execution = int(demand * (1 - p.mi) + Fraction(1, 2))
+                mi, util = drawn[p.id]
+                demand = util * cfg.hyperperiod / cfg.slot
+                rounded_execution = int(demand * (1 - mi) + Fraction(1, 2))
                 assert p.execution == max(1, rounded_execution)
-                assert p.memory == int(demand * p.mi + Fraction(1, 2))
+                assert p.memory == int(demand * mi + Fraction(1, 2))
                 clamped += rounded_execution == 0
                 zeroed += p.memory == 0
             for core in range(1, cfg.m + 1):
-                assert sum(p.util for p in pset.by_core(core)) == cfg.u
+                assert sum(drawn[p.id][1] for p in pset.by_core(core)) == cfg.u
         assert clamped and zeroed
 
     def test_edge_digest_is_pinned(self, edge_sets):
-        # Every partition of the edge sets: a change to generation may not
-        # move any of them.
+        # Every partition of the edge sets, with its replayed MI and U: a
+        # change to generation may not move any of them.
         digest = hashlib.sha256()
-        for _, pset in edge_sets:
+        for _, pset, drawn in edge_sets:
             for p in pset.partitions:
-                digest.update(f"{p.id},{p.core},{p.mi},{p.util},{p.execution},{p.memory};".encode())
+                mi, util = drawn[p.id]
+                digest.update(f"{p.id},{p.core},{mi},{util},{p.execution},{p.memory};".encode())
         assert digest.hexdigest() == "41fccb6c8e4109ae8589862088cde89caee8eeabbd951094f9e8fe14935cb442"
 
     def test_generation_builds_no_fraction(self, monkeypatch):
-        # A partition keeps its MI draw and its unreduced UUniFast pair, so
+        # Generation computes E and mu in integers and keeps no MI or U, so
         # drawing a set constructs no Fraction through the module's name.
         configs = [ExperimentConfig(m=m, mir=Fraction(1, 4), u=Fraction(1, 2)) for m in (2, 8)]
         built = []
@@ -196,14 +221,6 @@ class TestGeneration:
         for cfg in configs:
             generate_partition_set(cfg, random.Random(5))
         assert built == []
-
-    def test_mi_and_util_are_built_on_read(self):
-        pset = _set(7)
-        for p in pset.partitions:
-            assert type(p.mi_draw) is float and type(p.util_ratio) is Ratio
-            assert type(p.mi) is Fraction and p.mi == Fraction(p.mi_draw)
-            assert type(p.util) is Fraction
-            assert p.util == Fraction(p.util_ratio.numerator, p.util_ratio.denominator)
 
     def test_partitions_carry_no_instance_dict(self):
         pset = _set()
@@ -233,8 +250,7 @@ class TestGeneration:
 
     def test_odd_high_count_rounds(self):
         cfg = ExperimentConfig(m=8, mir=Fraction(15, 100), u=Fraction(1, 4))
-        pset = generate_partition_set(cfg, random.Random(5))
-        high = [p for p in pset.partitions if p.mi >= Fraction(1, 2)]
+        high = [mi for mi, _ in _drawn(5, cfg).values() if mi >= Fraction(1, 2)]
         assert len(high) == 5  # round(0.15 * 32) = round(4.8)
 
 
@@ -275,7 +291,7 @@ class TestBudgetSplitting:
         # evenly: 4/3 each, a three-way tie in fractional parts that core 1
         # wins by index.
         unfinished = [
-            Partition(id=pid, core=core, mi_draw=0.0, util_ratio=Ratio(1, 8), execution=10, memory=0)
+            Partition(id=pid, core=core, execution=10, memory=0)
             for pid, core in enumerate((1, 3, 4))
         ]
         assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
@@ -411,18 +427,24 @@ class TestDynamicPolicy:
 
     def test_hypotheses_are_computed_at_start_or_after_a_vector_change(self, monkeypatch):
         # A partition's first view, at the event it starts, is the current
-        # vector alone. It is viewed again only when the vector changes, so
-        # the intervals built since its start end in a vector other than
+        # vector alone: a _static_span call, once per partition. It is
+        # viewed again only when the vector changes: a _view_span call,
+        # whose intervals built since its start end in a vector other than
         # the unbounded tail's. A hypothesis computed at any other moment
-        # breaks one of the two.
+        # breaks one of these.
         views = []
-        hypothesize_span = ima._hypothesize_span
+        static_span, view_span = ima._static_span, ima._view_span
 
-        def recording(part, start, history, current_vec, config):
-            views[-1].append((part.id, history, current_vec))
-            return hypothesize_span(part, start, history, current_vec, config)
+        def at_start(budgets, core, execution, memory, limit):
+            views[-1].append((None, budgets, (core, execution, memory)))
+            return static_span(budgets, core, execution, memory, limit)
 
-        monkeypatch.setattr(ima, "_hypothesize_span", recording)
+        def later_view(history, budgets, core, execution, memory, limit):
+            views[-1].append((history, budgets, (core, execution, memory)))
+            return view_span(history, budgets, core, execution, memory, limit)
+
+        monkeypatch.setattr(ima, "_static_span", at_start)
+        monkeypatch.setattr(ima, "_view_span", later_view)
         mirs = (Fraction(15, 100), Fraction(1, 4), Fraction(1, 2))
         us = tuple(Fraction(10 + 8 * k, 100) for k in range(11))
         for m, mir, u in itertools.product((4, 8, 12), mirs, us):
@@ -431,15 +453,16 @@ class TestDynamicPolicy:
             policy_dy(generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, 0))), cfg)
         starts = later = 0
         for set_views in views:
-            seen = set()
-            for pid, built, tail in set_views:
-                if pid in seen:
-                    later += 1
-                    assert built and built[-1].budgets != tail
-                else:
+            started = set()
+            for history, tail, demand in set_views:
+                if history is None:
                     starts += 1
-                    seen.add(pid)
-                    assert built == []
+                    assert demand not in started
+                    started.add(demand)
+                else:
+                    later += 1
+                    assert demand in started
+                    assert history and history[-1].budgets != tail
         assert starts > later > 0
 
     def test_unschedulable_set_reports_no_schedule(self):
@@ -478,7 +501,7 @@ def test_dy_can_fail_where_su_passes():
     cfg = ExperimentConfig(m=6, mir=Fraction(1, 10), u=Fraction(21, 50))
     pset = PartitionSet(
         tuple(
-            Partition(id=pid, core=core, mi_draw=0.0, util_ratio=Ratio(0, 1), execution=e, memory=mu)
+            Partition(id=pid, core=core, execution=e, memory=mu)
             for pid, core, e, mu in DY_LOSES
         )
     )
@@ -631,8 +654,10 @@ class TestEvaluation:
         for m, mir, u, index in itertools.product((4, 8, 12), mirs, us, range(3)):
             cfg = ExperimentConfig(m=m, mir=mir, u=u)
             pset = generate_partition_set(cfg, random.Random(_derive_seed(1, m, mir, u, index)))
+            drawn = _drawn(_derive_seed(1, m, mir, u, index), cfg)
             for p in pset.partitions:
-                digest.update(f"{p.id},{p.core},{p.mi},{p.util},{p.execution},{p.memory};".encode())
+                mi, util = drawn[p.id]
+                digest.update(f"{p.id},{p.core},{mi},{util},{p.execution},{p.memory};".encode())
             se = evaluate_schedulability(pset, "SE", cfg)
             su = evaluate_schedulability(pset, "SU", cfg)
             dy = policy_dy(pset, cfg)

@@ -46,7 +46,6 @@ class TestRegulationConfig:
     def test_q_defaults_to_period_over_latency(self):
         cfg = RegulationConfig(period=Fraction(16), l_max=Fraction(1))
         assert cfg.transactions_per_period == 16
-        assert cfg.slot == 1
 
     def test_q_default_floors(self):
         cfg = RegulationConfig(period=Fraction(1, 1000), l_max=Fraction(24, 10_000_000))
@@ -55,7 +54,6 @@ class TestRegulationConfig:
     def test_explicit_q_overrides_and_rescales_slot(self):
         cfg = RegulationConfig(period=Fraction(1, 1000), l_max=Fraction(24, 10_000_000), q_total=41666)
         assert cfg.transactions_per_period == 41666
-        assert cfg.slot == Fraction(1, 1000) / 41666
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvariantError):
@@ -65,15 +63,12 @@ class TestRegulationConfig:
 
 
 class TestWorkload:
-    def test_beta(self):
-        assert Workload(execution=40, memory=35).beta == 75
-
     def test_requires_some_execution(self):
         with pytest.raises(InvariantError):
             Workload(execution=0, memory=5)
 
     def test_memory_may_be_zero(self):
-        assert Workload(execution=1, memory=0).beta == 1
+        assert Workload(execution=1, memory=0).memory == 0
 
 
 class TestMemorySchedule:
@@ -196,7 +191,6 @@ class TestScenarioParsing:
         )
         assert sc.config.period == Fraction(1, 1000)
         assert sc.config.l_max == Fraction(24, 10_000_000)
-        assert sc.config.slot == Fraction(1, 1000) / 41666
 
     def test_deadline_parses_to_fraction(self):
         sc = parse_scenario(

@@ -1,6 +1,7 @@
 """Stall-curve construction: raw interference points and their concave envelope."""
 
 import pickle
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,13 @@ from membw import (
 )
 
 VEC = BudgetVector((2, 2, 5, 7))
+
+
+def _value_at(curve: StallCurve, rate: Fraction) -> Fraction:
+    """The curve at ``rate`` in [0, q], exactly: the Fraction reference for
+    :meth:`StallCurve.stall_over`'s integer segment search."""
+    seg = curve.segments[bisect_right(curve.segments, rate, key=lambda s: s.start) - 1]
+    return seg.value + seg.slope * (rate - seg.start)
 
 
 def budget_vectors(max_m: int = 5, max_q: int = 9):
@@ -57,10 +65,11 @@ class TestBudgetVector:
         assert VEC.m == 4
         assert VEC.total == 16
         assert VEC.budget_of(3) == 5
-        assert VEC.others(3) == (2, 2, 7)
 
     def test_single_core_allowed(self):
-        assert BudgetVector((4,)).others(1) == ()
+        vec = BudgetVector((4,))
+        assert (vec.m, vec.total) == (1, 4)
+        assert build_raw_points(vec, 1).values == (0, 0, 0, 0, 0)
 
 
 class TestRawPoints:
@@ -82,7 +91,8 @@ class TestRawPoints:
         vec, core = vc
         raw = build_raw_points(vec, core)
         for k in range(raw.q):
-            assert raw.values[k] == sum(min(k, q) for q in vec.others(core))
+            others = vec.budgets[: core - 1] + vec.budgets[core:]
+            assert raw.values[k] == sum(min(k, q) for q in others)
 
 
 class TestEnvelope:
@@ -99,20 +109,22 @@ class TestEnvelope:
         raw = build_raw_points(VEC, 4)
         curve = concave_envelope(raw)
         for k, v in enumerate(raw.values):
-            assert curve.value_at(k) == v
+            assert curve.stall_over(1, k) == v
 
     def test_evaluation_golden(self):
+        # 17/2 at rate 7/2, 11 at 5 and 0 at 0, each times the span.
         curve = curve_for_core(VEC, 3)
-        assert curve.value_at(Fraction(7, 2)) == Fraction(17, 2)
-        assert curve.value_at(5) == 11
-        assert curve.value_at(0) == 0
+        assert curve.stall_over(2, 7) == 17
+        assert curve.stall_over(1, 5) == 11
+        assert curve.stall_over(1, 0) == 0
 
     def test_rejects_out_of_domain(self):
+        # Rates 6 and -1 over one period lie outside [0, q = 5].
         curve = curve_for_core(VEC, 3)
         with pytest.raises(InvariantError):
-            curve.value_at(6)
+            curve.stall_over(1, 6)
         with pytest.raises(InvariantError):
-            curve.value_at(-1)
+            curve.stall_over(1, -1)
 
     @given(vector_and_core())
     def test_envelope_dominates_raw(self, vc):
@@ -120,7 +132,7 @@ class TestEnvelope:
         raw = build_raw_points(vec, core)
         curve = concave_envelope(raw)
         for k, v in enumerate(raw.values):
-            assert curve.value_at(k) >= v
+            assert curve.stall_over(1, k) >= v
 
     @given(vector_and_core())
     def test_envelope_touches_raw_at_start_points(self, vc):
@@ -175,7 +187,7 @@ class TestStallOver:
         vec, core = vc
         curve = curve_for_core(vec, core)
         memory = data.draw(st.integers(0, span * curve.q))
-        assert curve.stall_over(span, memory) == curve.value_at(Fraction(memory, span)) * span
+        assert curve.stall_over(span, memory) == _value_at(curve, Fraction(memory, span)) * span
 
 
 def test_curve_serialization_roundtrip_fields():
@@ -223,7 +235,7 @@ def test_curve_rejects_bad_segments(q, segments, message):
 
 def test_single_core_curve_is_zero():
     curve = curve_for_core(BudgetVector((4,)), 1)
-    assert curve.value_at(4) == 0
+    assert curve.stall_over(1, 4) == 0
     assert curve.stall_over(3, 12) == 0
 
 

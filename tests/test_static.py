@@ -112,7 +112,7 @@ class TestProperties:
     def test_span_covers_demand_plus_stall(self, inst):
         budgets, core, wl = inst
         result = analyze_static(wl, budgets, core, config_for(budgets))
-        assert result.span * budgets.total >= wl.beta + result.total_stall
+        assert result.span * budgets.total >= wl.execution + wl.memory + result.total_stall
 
     @given(small_instances())
     @settings(max_examples=100)
@@ -136,7 +136,7 @@ def test_trace_is_self_consistent(inst):
     for prev, entry in zip(result.trace, result.trace[1:]):
         stall = curve.stall_over(prev.span, min(wl.memory, prev.span * curve.q))
         assert entry.stall == stall
-        assert entry.span == math.ceil((wl.beta + stall) / budgets.total)
+        assert entry.span == math.ceil((wl.execution + wl.memory + stall) / budgets.total)
 
 
 def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
