@@ -9,10 +9,10 @@ the memory demand mu distributed over the intervals so that the summed stall
 is maximized subject to mu^j <= W^j * q^j and sum mu^j <= mu. Because every
 per-interval curve is concave, a marginal-slope greedy is exact: always feed
 the interval whose curve is steepest at its current rate, jumping rates from
-segment start point to segment start point. The greedy keeps the intervals'
-next segments in a heap, so a span reaching n intervals with S segments in
-all costs O(S log n). It sums S as it places the memory and returns it with
-the assignment.
+segment start point to segment start point. The greedy sorts the reached
+intervals' segments by slope once, so a span reaching S segments in all
+costs O(S log S). It sums S as it places the memory and returns it with the
+assignment.
 
 The split's nonzero parts are a prefix of the schedule, and spans only grow,
 so an interval's curve is built when a span first reaches it, and the greedy
@@ -52,11 +52,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heapreplace
 
 from .errors import InvariantError, ScheduleExhaustedError
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, _check_core, curve_for_core
+from .stall_curve import StallCurve, _by_slope, _check_core, curve_for_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,18 +101,10 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     reproducible. The stall is summed on the way: rise * W^j per whole piece,
     plus rise * left / width for the piece the memory runs out in.
 
-    The heads sit in a heap keyed by (-floor(rise * K / width), j, k), with
-    K = q_max^2 for the largest q among the reached intervals' curves. The
-    key orders slopes exactly: a segment's width is at most its curve's
-    q <= q_max, so two distinct slopes a/w and b/v differ by at least
-    1/(w * v) >= 1/K, their scaled values by at least 1, and so their floors
-    differ; equal slopes get equal keys and fall to the index j. Each
-    interval's slopes strictly decrease, so the heap is an exact merge of
-    per-interval lists, and it places pieces in the order a scan for the
-    steepest head would. Each piece costs one heap operation: O(S log n)
-    for S segments in the n reached intervals, where a scan of every head
-    per piece costs O(n * S). A lone head is compared with nothing, so it
-    is keyed 0 and its list is walked as is.
+    Each interval's slopes strictly decrease, so filling the reached
+    intervals' segments in one exact slope order, :func:`_by_slope` tagged
+    by the index j, fills them in the order a scan for the steepest head
+    would: O(S log S) for S segments in the reached intervals.
 
     ``curves`` covers the reached prefix: it may stop after the last nonzero
     split. A nonzero split without a curve, or more curves than splits,
@@ -129,22 +120,11 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
             raise InvariantError("distribute_memory: splits must be >= 0")
 
     assign = [0] * n
-    # An interval the span does not reach has no piece to fill, so only the
-    # reached ones have a head. A lone head keeps the key 0.
-    heap = [(0, j, 0) for j, w in enumerate(splits) if w]
-    if len(heap) > 1:
-        scale = max([curves[j].q for _, j, _ in heap]) ** 2
-        for i, (_, j, _) in enumerate(heap):
-            _, _, rise, width = curves[j].segments[0]
-            heap[i] = (-(rise * scale // width), j, 0)
-        heapify(heap)
     left, num = memory, 0
-    while left:
-        if not heap:
-            return MemoryAssignment(tuple(assign), True, (num, 1))
-        _, j, k = heap[0]
-        segs = curves[j].segments
-        _, _, rise, width = segs[k]
+    # An interval the span does not reach has no piece to fill.
+    for _, j, rise, width in _by_slope([(j, curves[j]) for j, w in enumerate(splits) if w]):
+        if not left:
+            break
         w = splits[j]
         piece = width * w
         if left < piece:
@@ -153,15 +133,7 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
         assign[j] += piece
         num += rise * w
         left -= piece
-        k += 1
-        if k == len(segs):
-            heappop(heap)
-        elif len(heap) == 1:
-            heap[0] = (0, j, k)
-        else:
-            _, _, rise, width = segs[k]
-            heapreplace(heap, (-(rise * scale // width), j, k))
-    return MemoryAssignment(tuple(assign), False, (num, 1))
+    return MemoryAssignment(tuple(assign), left > 0, (num, 1))
 
 
 def stall_breakdown(

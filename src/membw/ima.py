@@ -389,10 +389,13 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
                     # Successor would start at (or past) the deadline.
                     return DynamicPolicyOutcome(schedule=None, completions=completions)
                 starts[core] = (t_next, len(built))
-        next_vec = _reclaim_vector(base, [part for queue in queues.values() for part in queue])
-        if next_vec != current_vec:
-            events.clear()
-        current_vec = next_vec
+        # While every core runs, the reclaim gives base. Once none runs, it
+        # gives base again, for the unbounded tail.
+        if len(starts) < config.m:
+            next_vec = _reclaim_vector(base, [part for queue in queues.values() for part in queue])
+            if next_vec != current_vec:
+                events.clear()
+                current_vec = next_vec
         current_start = t_next
 
     schedule = MemorySchedule(intervals=(*built, BudgetInterval(budgets=current_vec, length=None)))

@@ -213,6 +213,23 @@ class StallCurve:
         }
 
 
+def _by_slope(tagged: list[tuple[int, StallCurve]]) -> list[tuple[int, int, int, int]]:
+    """Every segment of the ``(tag, curve)`` pairs as (key, tag, rise,
+    width), steepest first, equal slopes in increasing tag order.
+
+    The key is -floor(rise * K / width), with K = q_max^2 for the largest q
+    among the curves. It orders slopes exactly: a segment's width is at most
+    its curve's q <= q_max, so two distinct slopes a/w and b/v differ by at
+    least 1/(w * v) >= 1/K, their scaled values by at least 1, and so their
+    floors differ; equal slopes get equal keys and fall to the tag. One sort
+    of S segments costs O(S log S).
+    """
+    scale = max((curve.q for _, curve in tagged), default=0) ** 2
+    return sorted(
+        (-(rise * scale // width), tag, rise, width) for tag, curve in tagged for _, _, rise, width in curve.segments
+    )
+
+
 def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Upper convex hull of points with strictly increasing x (monotone chain).
 

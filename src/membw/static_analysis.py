@@ -92,7 +92,7 @@ from collections.abc import Sequence
 from .dynamic_analysis import AnalysisResult, _dynamic_span, _limit
 from .errors import InvariantError
 from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
-from .stall_curve import BudgetVector, curve_for_core
+from .stall_curve import BudgetVector, _by_slope, curve_for_core
 
 
 def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config: RegulationConfig) -> AnalysisResult:
@@ -158,22 +158,16 @@ def _view_span(
     length = sum(iv.length for iv in history)
     if limit is not None and (length >= limit or -(-beta // q_total) > limit):
         return None
-    # Each curve with its interval's L_j, 0 for the tail. A piece carries
-    # the greedy's exact slope key (see distribute_memory), its L_j, and
-    # whether it is the tail's.
+    # Each curve tagged with its interval's L_j, 0 for the tail; its pieces
+    # go in the greedy's exact slope order.
     curves = [(0, curve_for_core(budgets, core)), *((iv.length, curve_for_core(iv.budgets, core)) for iv in history)]
-    scale = max(curve.q for _, curve in curves) ** 2
-    pieces = sorted(
-        (-(rise * scale // width), rise, width, periods, not periods)
-        for periods, curve in curves
-        for _, _, rise, width in curve.segments
-    )
     # Running sums over the pieces steeper than the current one: rises and
     # widths, history pieces weighted by L_j, tail pieces unweighted.
     hist_rise = hist_width = tail_rise = tail_width = 0
     excess = beta - q_total * length
     least = key = None
-    for piece_key, rise, width, periods, tail in pieces:
+    for piece_key, periods, rise, width in _by_slope(curves):
+        tail = not periods
         if piece_key != key:
             # The first piece of a slope: its ties would add 0, so one
             # evaluation serves them all.

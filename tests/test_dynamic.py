@@ -225,13 +225,13 @@ def greedy_instances(draw):
 @example(((0, 2, 0), 14, CURVES3))
 @example(((0, 2, 0), 15, CURVES3))
 @example(((3, 0, 2), 200, CURVES3))
-# A lone head (one reached interval among zero splits), with memory
+# One reached interval among zero splits, with memory
 # stopping inside its only segment (stall 36 / 4, unreduced), inside its
 # second segment, and exactly on a segment boundary.
 @example(((0, 0, 2), 3, CURVES3))
 @example(((2, 0, 0), 6, CURVES3))
 @example(((2, 0, 0), 4, CURVES3))
-def test_heap_greedy_matches_the_pass_scan(inst):
+def test_greedy_matches_the_pass_scan(inst):
     # The whole assignment: every per-interval count, the saturated flag and
     # the stall as the same unreduced numerator and denominator.
     splits, memory, curves = inst
@@ -259,7 +259,7 @@ def _one_segment(rise: int, width: int) -> StallCurve:
         ((20832, 41664), (1, 2)),
     ],
 )
-def test_heap_greedy_orders_the_closest_slopes(first, second):
+def test_greedy_orders_the_closest_slopes(first, second):
     curves = (_one_segment(*first), _one_segment(*second), _one_segment(*first))
     for memory in (1, first[1], first[1] + 1, second[1] + 1):
         assert distribute_memory((1, 1, 1), memory, curves) == _scan_distribute((1, 1, 1), memory, curves)
