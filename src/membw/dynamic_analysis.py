@@ -17,17 +17,17 @@ assignment.
 The split's nonzero parts are a prefix of the schedule, and spans only grow,
 so an interval's curve is built when a span first reaches it, and the greedy
 and the breakdown take curves for that reached prefix only. An unreached
-interval costs nothing; its breakdown row reads W = 0, mu = 0, S = 0.
+interval costs no curve; its breakdown row reads W = 0, mu = 0, S = 0.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
-:func:`_dynamic_span`, which runs the split + greedy above at its iterates,
-and the record it writes, :class:`AnalysisResult`. Both public analyzers
-run this kernel: :func:`membw.static_analysis.analyze_static` on a schedule
-of one unbounded interval. The loop takes integers; the public analyzers check Q against the
-config and the core against the schedule, and turn the deadline into
-periods first. The IMA policies run no loop: every view they analyze ends
-in an unbounded vector, and its least root has a closed form in
-:mod:`membw.static_analysis`.
+:func:`_dynamic_span`, which runs the split + greedy above at the iterates
+whose capacity exceeds mu, and the record it writes, :class:`AnalysisResult`.
+Both public analyzers run this kernel:
+:func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
+interval. The loop takes integers and checks the core; the public analyzers
+check Q against the config and turn the deadline into periods first. The IMA
+policies run no loop: every view they analyze ends in an unbounded vector,
+and its least root has a closed form in :mod:`membw.static_analysis`.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
 integer denominator: the width of the one curve segment the greedy filled in
@@ -35,27 +35,31 @@ part, or 1. The next iterate is an integer ceiling division. The result
 records the iterates as integers; a :class:`Fraction` is built only when the
 result's trace (one per iterate) or breakdown (one per interval) is read.
 
-While mu exceeds the span's capacity (the distributor reports ``saturated``)
-the iteration climbs slowly, often one period per iterate, and S is affine in
-W until the last interval the span reaches ends or its capacity catches up
-with mu. The loop reads that piece as a stride. Along a stride the step to
-the next iterate never grows, so the loop crosses each run of equal steps in
-one jump and records it as one entry; it calls the split and the greedy
-again only where the stride ends. A climb of n iterates thus costs O(runs),
-not O(n), in time and in record size.
+While mu covers the span's capacity caps(W) = sum W^j * q^j, the greedy
+would fill every reached segment, so S(W) = Q * W - caps(W) over 1. The loop
+reads caps(W) off the schedule's cumulative ends and capacities with one
+bisection, and runs neither the split nor the greedy there. Such a climb is
+slow, often one period per iterate, and S is affine in W until the interval
+holding W ends or its capacity catches up with mu: a stride. Along a stride
+the step to the next iterate never grows, so the loop crosses each run of
+equal steps in one jump and records it as one entry. A climb of n iterates
+thus costs O(runs) bisections, not O(n), and O(runs) record entries.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
-from .errors import InvariantError, ScheduleExhaustedError
+from .errors import InvariantError
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, _by_slope, _check_core, curve_for_core
+from .stall_curve import StallCurve, _by_slope, curve_for_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,17 +70,14 @@ class MemoryAssignment:
     is the width of the one curve segment the greedy filled in part, or 1
     when it filled whole segments only. ``saturated`` marks the degenerate
     outcome where every interval hit its capacity W^j * q^j before all of mu
-    was placed; the span iteration reacts by growing W, so a converged
-    analysis never ends saturated.
+    was placed. The fixed-point loop finds such spans from the schedule's
+    capacities and calls the greedy only where they exceed mu, so there a
+    saturated assignment raises :class:`InvariantError`.
     """
 
     per_interval: tuple[int, ...]
     saturated: bool
     stall: tuple[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_interval)
 
 
 def _check_reached_prefix(caller: str, what: str, splits: tuple[int, ...], per_interval: tuple) -> None:
@@ -161,23 +162,19 @@ def analyze_dynamic(
     iterate no longer fits the deadline) or schedule exhaustion (an iterate
     outgrew a fully bounded schedule; the result carries the shortfall).
     """
-    limit = _limit(workload, schedule, core, config)
+    limit = _limit(workload, schedule, config)
     return _dynamic_span(schedule, core, workload.execution, workload.memory, limit)
 
 
-def _limit(workload: Workload, schedule: MemorySchedule, core: int, config: RegulationConfig) -> int | None:
+def _limit(workload: Workload, schedule: MemorySchedule, config: RegulationConfig) -> int | None:
     """The workload's deadline in periods, or None without one, once the
-    budgets' total Q is checked against the config and ``core`` against the
-    schedule's cores.
-
-    Both checks come before the loop, whose first iterate can miss the
-    deadline before it builds a curve, and with it the curve's core check."""
+    budgets' total Q is checked against the config. The loop checks the core
+    before its first iterate, as it reads the core's budget per interval."""
     if schedule.q_total != config.transactions_per_period:
         raise InvariantError(
             f"budgets sum to {schedule.q_total} but config provides "
             f"{config.transactions_per_period} transactions per period"
         )
-    _check_core(schedule.m, core)
     return deadline_periods(workload, config) if workload.deadline is not None else None
 
 
@@ -292,7 +289,8 @@ def _dynamic_span(
     Q the budgets' total, with S(W) the split + greedy stall over a span of
     W periods: :func:`split_span`, then :func:`distribute_memory` over the
     curves of the reached prefix, whose stall is a numerator over a positive
-    denominator, both integers.
+    denominator, both integers. Where mu covers the span's capacity, S(W)
+    comes from the schedule alone (below).
 
     The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
     with beta + S(W) <= Q * W. S(W) is the most stall mu transactions can
@@ -315,15 +313,18 @@ def _dynamic_span(
     miss if it passes the deadline too. The tests check these claims
     against a plain scan.
 
-    While the greedy reports ``saturated``, the memory demand fills the
-    span's capacity, caps = sum of W^j * q^j <= mu, and every interval
-    stalls Q - q^j per period: S(W) = Q * W - caps over den 1. Growing the
-    span then only lengthens j, the last interval it reaches, so S rises by
+    Each iterate W first finds, by one bisection into the cumulative ends
+    of the bounded intervals, the interval j holding period W; past a
+    bounded schedule's end it is schedule exhaustion, short by W less the
+    schedule's length. The cumulative capacities sum L^j * q^j then give
+    the span's capacity caps = sum of W^j * q^j in O(1). If caps <= mu, the
+    greedy would fill every reached segment, and every interval stalls
+    Q - q^j per period: S(W) = Q * W - caps over den 1, with no split and no
+    greedy. Growing the span then only lengthens j, so S rises by
     rate = Q - q^j per period up to last, the first span where j ends or
     the unplaced memory mu - caps no longer covers q^j more. That is a
-    stride: S(W') = num + rate * (W' - W) for every W' in [W, last], and the
-    loop runs the split and the greedy again only past ``last``. Inside a
-    stride the step from W' to its next iterate is
+    stride: S(W') = num + rate * (W' - W) for every W' in [W, last]. Inside
+    a stride the step from W' to its next iterate is
     ceil((r - q^j * (W' - W)) / Q), with r = beta + num - Q * W, so it never
     grows with W'. If the step at W is d, it stays d for the next
 
@@ -339,18 +340,23 @@ def _dynamic_span(
     keeps the fixed point's ``(splits, assignment, curves)`` and builds its
     trace and breakdown from the record and that detail when they are read.
 
-    The loop's one convergence guard: a saturated span is no fixed point.
-    There the next iterate is W' + ceil((E + mu - caps) / Q) >= W' + 1, as
-    E >= 1, and the stride ends before caps passes mu. So a fixed point at
-    W <= last raises :class:`InvariantError`, as does an iterate below its
-    predecessor. A :class:`ScheduleExhaustedError` from the split ends the
-    analysis as schedule exhaustion. The defensive cap bounds the span, so
-    it bounds the iterates however many a run covers.
+    A span with caps <= mu is no fixed point: its next iterate is
+    W + ceil((E + mu - caps) / Q) >= W + 1, as E >= 1. Where caps exceeds
+    mu the greedy places all of mu, so a greedy that reports ``saturated``
+    there raises :class:`InvariantError`, as does an iterate below its
+    predecessor. The defensive cap bounds the span, so it bounds the
+    iterates however many a run covers.
     """
     intervals = schedule.intervals
     n = len(intervals)
     q_total = schedule.q_total
     beta = execution + memory
+    # The core's budget per interval (which checks the core), and from 0 the
+    # cumulative ends and capacities sum L^j * q^j of the bounded intervals.
+    budgets = [iv.budgets.budget_of(core) for iv in intervals]
+    lengths = [iv.length for iv in intervals if iv.length is not None]
+    ends = list(accumulate(lengths, initial=0))
+    capacities = list(accumulate(map(mul, lengths, budgets), initial=0))
     # The curves of the intervals reached so far: spans only grow, and the
     # intervals a span reaches are a prefix of the schedule.
     curves: tuple[StallCurve, ...] = ()
@@ -361,42 +367,35 @@ def _dynamic_span(
     # cap cannot fire on valid input; as every iterate but the last grows
     # the span, it also bounds the number of iterates.
     top = limit if limit is not None else beta + 1
-    # The current stride is S = num + rate * (W - at) over den 1 for
-    # W <= last; spans start at 1, so last = 0 means no stride.
-    rate = at = last = 0
     while span <= top:
-        if span <= last:
-            num += rate * (span - at)
+        # Period W = span falls in interval j: ends[j] < W, and W <= ends[j + 1]
+        # if j is bounded.
+        j = bisect_left(ends, span) - 1
+        if j == n:
+            status = AnalysisStatus.SCHEDULE_EXHAUSTED
+            return AnalysisResult(status, span, None, tuple(raw), shortfall=span - ends[-1])
+        q = budgets[j]
+        caps = capacities[j] + (span - ends[j]) * q
+        if caps <= memory:
+            # Every reached segment is full: a stride up to the end of j or
+            # of the unplaced memory (see the docstring).
+            num, den = q_total * span - caps, 1
+            rate = q_total - q
+            last = min(span + (memory - caps) // q, top, ends[j + 1] if j + 1 < len(ends) else top)
         else:
-            try:
-                splits = split_span(schedule, span)
-            except ScheduleExhaustedError as exc:
-                status = AnalysisStatus.SCHEDULE_EXHAUSTED
-                return AnalysisResult(status, span, None, tuple(raw), shortfall=exc.shortfall)
-            reached = n - splits.count(0)
-            if reached > len(curves):
-                curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : reached])
+            splits = split_span(schedule, span)
+            if j >= len(curves):
+                curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : j + 1])
             assignment = distribute_memory(splits, memory, curves)
-            num, den = assignment.stall
-            beta_den, q_den = beta * den, q_total * den
-            rate = last = 0
             if assignment.saturated:
-                # A stride up to the end of j or of the unplaced memory (see
-                # the docstring).
-                j = reached - 1
-                q = curves[j].q
-                rate = q_total - q
-                last = min(span + (memory - assignment.total) // q, top)
-                length = intervals[j].length
-                if length is not None:
-                    last = min(last, span + length - splits[j])
-        at = span
+                raise InvariantError("the greedy saturated a span whose capacity covers the memory")
+            num, den = assignment.stall
+            rate = last = 0
+        beta_den, q_den = beta * den, q_total * den
         nxt = -(-(beta_den + num) // q_den)
         if nxt < span:
             raise InvariantError("span iterates must be non-decreasing")
         if nxt == span:
-            if span <= last:
-                raise InvariantError("a saturated stride cannot hold a fixed point")
             raw.append((nxt, num, den))
             detail = (splits, assignment, curves)
             return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)

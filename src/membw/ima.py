@@ -304,7 +304,7 @@ def _reclaim_vector(base: BudgetVector, unfinished: list[Partition]) -> BudgetVe
     even shares when every recomputed weight is zero). m and Q are base's.
     """
     live = sorted({p.core for p in unfinished})
-    if len(live) == base.m or not live:
+    if not live:
         return base
     budgets = [1] * base.m
     for core in live:

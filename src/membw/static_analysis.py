@@ -103,7 +103,7 @@ def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config:
     is a deadline miss carrying the first violating iterate.
     """
     schedule = MemorySchedule.static(budgets)
-    limit = _limit(workload, schedule, core, config)
+    limit = _limit(workload, schedule, config)
     result = _dynamic_span(schedule, core, workload.execution, workload.memory, limit)
     # The record without the breakdown's detail: the constructor costs half
     # of dataclasses.replace.

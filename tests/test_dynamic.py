@@ -54,7 +54,7 @@ class TestDistributeMemory:
         assignment = distribute_memory((5, 1, 0), 25, CURVES3)
         assert assignment.per_interval == (22, 3, 0)
         assert not assignment.saturated
-        assert assignment.total == 25
+        assert sum(assignment.per_interval) == 25
 
     def test_worked_split_stalls(self):
         assignment = distribute_memory((5, 1, 0), 25, CURVES3)
@@ -73,7 +73,7 @@ class TestDistributeMemory:
         assignment = distribute_memory((5, 1, 0), 32, CURVES3)
         assert not assignment.saturated
         assert assignment.per_interval == (25, 7, 0)
-        assert assignment.total == 32
+        assert sum(assignment.per_interval) == 32
         # Whole segments only, so the stall is an integer over 1.
         assert assignment.stall[1] == 1
 
@@ -84,7 +84,7 @@ class TestDistributeMemory:
         assignment = distribute_memory((5, 1, 0), 33, CURVES3)
         assert assignment.saturated
         assert assignment.per_interval == (25, 7, 0)
-        assert assignment.total == 32
+        assert sum(assignment.per_interval) == 32
         # Every interval at capacity stalls (Q - q^j) * W^j: an integer.
         assert assignment.stall == ((16 - 5) * 5 + (16 - 7) * 1, 1)
 
@@ -411,8 +411,8 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
 @pytest.mark.parametrize(
     ("distribute", "message"),
     [
-        # A saturated assignment at the loop's own fixed point.
-        (lambda splits, memory, curves: MemoryAssignment((0,), True, (0, 1)), "saturated stride cannot hold"),
+        # A saturated assignment at a span whose capacity covers mu = 0.
+        (lambda splits, memory, curves: MemoryAssignment((0,), True, (0, 1)), "greedy saturated a span"),
         # S(1) = 100 sends W to 11, where the stall falls back to 0.
         (
             lambda splits, memory, curves: MemoryAssignment((0,), False, (100 if splits == (1,) else 0, 1)),
@@ -488,10 +488,10 @@ LEAN, RICH = BudgetVector((1, 999)), BudgetVector((2, 998))
 
 
 @pytest.mark.parametrize(
-    ("tail", "workload", "status", "span", "shortfall", "fresh_calls"),
+    ("tail", "workload", "status", "span", "shortfall", "greedy_spans", "entries"),
     [
         # Strides over [1, 40], [41, 80] and [81, 110]; converges just past them.
-        (None, Workload(execution=1, memory=150), AnalysisStatus.CONVERGED, 111, None, 4),
+        (None, Workload(execution=1, memory=150), AnalysisStatus.CONVERGED, 111, None, [111], 5),
         # Misses the 60-period deadline inside the second stride.
         (
             None,
@@ -499,14 +499,15 @@ LEAN, RICH = BudgetVector((1, 999)), BudgetVector((2, 998))
             AnalysisStatus.DEADLINE_MISS,
             61,
             None,
-            2,
+            [],
+            3,
         ),
         # Saturated to the end of a 120-period schedule.
-        (40, Workload(execution=1, memory=500), AnalysisStatus.SCHEDULE_EXHAUSTED, 121, 1, 3),
+        (40, Workload(execution=1, memory=500), AnalysisStatus.SCHEDULE_EXHAUSTED, 121, 1, [], 4),
     ],
     ids=["converged", "deadline-miss", "schedule-exhausted"],
 )
-def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, span, shortfall, fresh_calls):
+def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, span, shortfall, greedy_spans, entries):
     # Core 1 holds one transaction per period, then two, then one: each
     # iterate grows the span by one period, so the saturated climb crosses
     # both interval boundaries and its stall slope changes at each.
@@ -519,16 +520,17 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
     )
     calls = []
 
-    def counting_distribute(*args):
-        calls.append(args)
-        return distribute_memory(*args)
+    def counting_distribute(splits, memory, curves):
+        calls.append(sum(splits))
+        return distribute_memory(splits, memory, curves)
 
     monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
     result = analyze_dynamic(workload, schedule, 1, CLIMB_CFG)
     assert (result.status, result.span, result.shortfall) == (status, span, shortfall)
-    # The climb is walked in strides: one greedy run per stride, plus one per
-    # iterate past the saturated part.
-    assert len(calls) == fresh_calls
+    # The greedy runs only at spans whose capacity exceeds mu; the saturated
+    # climb is one record entry per stride, each ending at an interval end.
+    assert calls == greedy_spans
+    assert len(result.raw) == entries
     curves = tuple(curve_for_core(iv.budgets, 1) for iv in schedule.intervals)
     assert [t.span for t in result.trace] == list(range(1, span + 1)) + ([span] if result.converged else [])
     for prev, entry in zip(result.trace, result.trace[1:]):
@@ -536,6 +538,26 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
         stall = sum(stall_breakdown(splits, distribute_memory(splits, workload.memory, curves), curves))
         assert entry.stall == stall
         assert entry.span == math.ceil((workload.execution + workload.memory + stall) / schedule.q_total)
+
+
+def test_saturated_climb_over_many_intervals_runs_the_greedy_once(monkeypatch):
+    # 2,000 one-period intervals, then the same vector unbounded: the climb
+    # stays saturated, one period per iterate, up to the fixed point at 2001,
+    # where mu = 2,000 fits. Only that span runs the greedy.
+    vector = BudgetVector((1, 99999))
+    schedule = MemorySchedule(intervals=(*[BudgetInterval(vector, 1)] * 2000, BudgetInterval(vector, None)))
+    calls = []
+
+    def counting_distribute(splits, memory, curves):
+        calls.append(sum(splits))
+        return distribute_memory(splits, memory, curves)
+
+    monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
+    cfg = RegulationConfig(period=Fraction(1), l_max=Fraction(1, 100000))
+    result = analyze_dynamic(Workload(execution=1, memory=2000), schedule, 1, cfg)
+    assert (result.status, result.span) == (AnalysisStatus.CONVERGED, 2001)
+    assert result.to_json_dict()["iterations"] == 2001
+    assert calls == [2001]
 
 
 # E = 1 on a core holding one of Q = 41666 transactions per period: the

@@ -140,8 +140,8 @@ def test_trace_is_self_consistent(inst):
 
 
 def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
-    # mu >= W * q up to W = 8000: one greedy call covers that climb, and one
-    # more finds the fixed point at 8001.
+    # mu >= W * q up to W = 8000: that climb is one run with no greedy call,
+    # and the one greedy call finds the fixed point at 8001.
     calls = []
     distribute = dynamic_analysis.distribute_memory
 
@@ -153,7 +153,8 @@ def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
     budgets = BudgetVector((1, 20000, 21665))
     result = analyze_static(Workload(execution=50, memory=8000), budgets, 1, config_for(budgets))
     assert (result.span, len(result.trace)) == (8001, 8002)
-    assert calls == [1, 8001]
+    assert calls == [8001]
+    assert len(result.raw) == 3
 
 
 def test_seeded_regression_batch():
