@@ -40,10 +40,12 @@ needs only its span or a miss, so none runs the fixed-point kernel of
 :mod:`membw.dynamic_analysis`: each takes a closed-form least root of
 :mod:`membw.static_analysis`, called directly. SE and SU analyze every
 partition under their one vector with ``_static_span``, as does DY at a
-partition's start. DY's view after a vector change takes ``_view_span``,
+partition's start. DY's view after a vector change takes ``_view_span``
+over one interval per run of equal vectors since the partition's start,
 whose root lies past the view's history because the partition was still
 running when the vector changed. Both give the span the public analyzers
-give.
+give. SU's weights and DY's reclaim read one helper's per-core sums of mu
+and mu + E, which DY keeps for the unfinished partitions as they finish.
 
 Generation per set: partition count 4m with round(MIr * 4m) in HIGH memory-
 intensity mode; a random permutation assigns exactly 4 partitions per core;
@@ -65,6 +67,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -262,19 +265,24 @@ def policy_se(config: ExperimentConfig) -> BudgetVector:
     return BudgetVector(tuple(base + (1 if i < rem else 0) for i in range(config.m)))
 
 
-def _memory_weights(m: int, unfinished: Iterable[Partition]) -> list[Ratio]:
-    """Per-core sum mu / (sum mu + sum E) over ``unfinished``; 0 / 1 if none."""
+def _demand_sums(m: int, partitions: Iterable[Partition]) -> tuple[list[int], list[int]]:
+    """Per core, sum mu and sum (mu + E) over ``partitions``."""
     memory = [0] * m
-    total = [0] * m
-    for p in unfinished:
+    demand = [0] * m
+    for p in partitions:
         memory[p.core - 1] += p.memory
-        total[p.core - 1] += p.memory + p.execution
-    return [Ratio(mu, t) if t else Ratio(0, 1) for mu, t in zip(memory, total)]
+        demand[p.core - 1] += p.memory + p.execution
+    return memory, demand
+
+
+def _memory_weights(memory: Sequence[int], demand: Sequence[int]) -> list[Ratio]:
+    """Per core sum mu / (sum mu + sum E) from :func:`_demand_sums`; 0 / 1 if none."""
+    return [Ratio(mu, t) if t else Ratio(0, 1) for mu, t in zip(memory, demand)]
 
 
 def policy_su(pset: PartitionSet, config: ExperimentConfig) -> BudgetVector:
     """Weighted split from the memory pressure of the whole set at t = 0."""
-    return split_budget_by_weights(config.q_total, _memory_weights(config.m, pset.partitions))
+    return split_budget_by_weights(config.q_total, _memory_weights(*_demand_sums(config.m, pset.partitions)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,23 +302,26 @@ class DynamicPolicyOutcome:
         return self.schedule is not None
 
 
-def _reclaim_vector(base: BudgetVector, unfinished: list[Partition]) -> BudgetVector:
+def _reclaim_vector(base: BudgetVector, memory: Sequence[int], demand: Sequence[int]) -> BudgetVector:
     """Budget vector after reclaiming from cores with no unfinished work.
 
-    Cores that still have unfinished partitions keep at least their base
-    (initial) budget; finished cores fall to the 1-transaction floor. The
-    freed budget is shared over the active cores in proportion to weights
-    recomputed from the unfinished demands (largest remainder, index ties;
-    even shares when every recomputed weight is zero). m and Q are base's.
+    ``memory`` and ``demand`` are the per-core sums of :func:`_demand_sums`
+    over the unfinished partitions, so a core has unfinished work exactly
+    when its demand is positive (E >= 1). Such cores keep at least their
+    base (initial) budget; finished cores fall to the 1-transaction floor.
+    The freed budget is shared over the active cores in proportion to
+    weights recomputed from the unfinished demands (largest remainder,
+    index ties; even shares when every recomputed weight is zero). m and Q
+    are base's.
     """
-    live = sorted({p.core for p in unfinished})
+    live = [core for core, t in enumerate(demand, start=1) if t]
     if not live:
         return base
     budgets = [1] * base.m
     for core in live:
         budgets[core - 1] = base.budget_of(core)
-    weights = _memory_weights(base.m, unfinished)
-    extras = _largest_remainder(base.total - sum(budgets), [weights[core - 1] for core in live])
+    weights = [Ratio(memory[core - 1], demand[core - 1]) for core in live]
+    extras = _largest_remainder(base.total - sum(budgets), weights)
     for core, extra in zip(live, extras):
         budgets[core - 1] += extra
     return BudgetVector(tuple(budgets))
@@ -326,79 +337,98 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     constant, so advancing event-to-event is exact.
 
     The state is one queue per core (its unfinished partitions, the running
-    one first), the as-built intervals ``built``, and each running
-    partition's start period with ``len(built)`` at that start. A partition
-    is hypothesized when it starts, over the current vector alone, and again
-    whenever the vector changes, over the intervals built since its start
-    and then the new vector, unbounded. The earliest hypothesis is the next
-    event, and it matches the as-built schedule through the completion. The
-    returned schedule is ``built`` plus the unbounded tail: one interval per
-    event, unmerged.
+    one last), the per-core unfinished sums of mu and mu + E that the
+    reclaim reads, each running partition's start period, the vector and
+    length of each interval between events, and the runs of equal vectors:
+    each run's start period and, once it has ended, its interval. A partition is hypothesized when it
+    starts, over the current vector alone, and again whenever the vector
+    changes, over one interval per run since its start (the first clipped
+    to the start) and then the new vector, unbounded. The cores to
+    hypothesize are kept on a to-do list. The earliest hypothesis is the
+    next event, and it matches the as-built schedule through the
+    completion. The returned schedule is built at the end: one interval per
+    event, unmerged, then the unbounded tail.
 
-    A hypothesis is a span from the partition's start, or None if it cannot
-    converge within the H - start periods left. With no history (the
-    partition has just started) the view is one vector, solved by
-    ``_static_span``. Otherwise the vector has just changed while the
-    partition ran, so no span up to the history's length was a root of its
-    previous view, which agrees with this one that far: the least root lies
-    past the history, as ``_view_span`` requires. Runs of equal vectors in
-    the history need no merging. Both closed forms give the kernel's least
-    root.
+    A hypothesis is a completion period, or ``never`` (one past H) if the
+    partition cannot converge within the H - start periods left. With no
+    history (the partition started in the current run) the view is one
+    vector, solved by ``_static_span``. Otherwise the vector has changed
+    while the partition ran, so no span up to the history's length was a
+    root of its previous view, which agrees with this one that far: the
+    least root lies past the history, as ``_view_span`` requires. Both
+    closed forms give the kernel's least root, and a run of equal vectors
+    gives the same root as the intervals it covers.
     """
     horizon = config.hyperperiod_periods
-    queues = {core: list(pset.by_core(core)) for core in range(1, config.m + 1)}
-    # Per core with a running partition: (start period, len(built) at the start).
-    starts = {core: (0, 0) for core, queue in queues.items() if queue}
-    built: list[BudgetInterval] = []
-    base = policy_su(pset, config)
-    current_vec = base
-    current_start = 0
+    never = horizon + 1
+    queues = {core: list(reversed(pset.by_core(core))) for core in range(1, config.m + 1)}
+    memory, demand = _demand_sums(config.m, pset.partitions)
+    base = split_budget_by_weights(config.q_total, _memory_weights(memory, demand))
+    vector = base
+    # Runs of equal vectors: start periods, and the interval of each ended run.
+    run_starts = [0]
+    runs: list[BudgetInterval] = []
+    # Start period of each running partition, by core.
+    starts = {core: 0 for core, queue in queues.items() if queue}
+    todo = list(starts)
+    # Completion period hypothesized for each running partition.
+    events: dict[int, int] = {}
+    # (vector, length) of each interval between events.
+    built: list[tuple[BudgetVector, int]] = []
     completions: dict[int, int] = {}
-    # Completion period hypothesized for each running partition, or None
-    # when it cannot complete under the current vector.
-    events: dict[int, int | None] = {}
+    now = 0
 
     while starts:
-        for core, (start, first) in starts.items():
-            if core not in events:
-                # Generation guarantees E >= 1 and mu >= 0 and every vector
-                # here is over the config's Q, so the closed forms run
-                # without the public checks.
-                part, limit = queues[core][0], horizon - start
-                if first == len(built):
-                    span = _static_span(current_vec, core, part.execution, part.memory, limit)
-                else:
-                    span = _view_span(built[first:], current_vec, core, part.execution, part.memory, limit)
-                events[core] = None if span is None else start + span
-        pending = [t for t in events.values() if t is not None]
-        if not pending:
+        for core in todo:
+            # Generation guarantees E >= 1 and mu >= 0 and every vector here
+            # is over the config's Q, so the closed forms run without the
+            # public checks.
+            part, start = queues[core][-1], starts[core]
+            if start >= run_starts[-1]:
+                span = _static_span(vector, core, part.execution, part.memory, horizon - start)
+            else:
+                first = bisect_right(run_starts, start) - 1
+                history = runs[first:]
+                if start > run_starts[first]:
+                    run = history[0]
+                    history[0] = BudgetInterval(run.budgets, run_starts[first + 1] - start)
+                span = _view_span(history, vector, core, part.execution, part.memory, horizon - start)
+            events[core] = never if span is None else start + span
+        t_next = min(events.values())
+        if t_next == never:
             # Every running partition misses under the current vector and no
             # completion will ever change it.
             return DynamicPolicyOutcome(schedule=None, completions=completions)
-
-        t_next = min(pending)
-        if not current_start < t_next <= horizon:
+        if not now < t_next <= horizon:
             raise InvariantError("events must advance within the hyperperiod")
-        built.append(BudgetInterval(budgets=current_vec, length=t_next - current_start))
+        built.append((vector, t_next - now))
+        todo = []
         for core in [c for c, t in events.items() if t == t_next]:
             del events[core], starts[core]
             queue = queues[core]
-            completions[queue.pop(0).id] = t_next
+            part = queue.pop()
+            completions[part.id] = t_next
+            memory[core - 1] -= part.memory
+            demand[core - 1] -= part.memory + part.execution
             if queue:
                 if t_next >= horizon:
                     # Successor would start at (or past) the deadline.
                     return DynamicPolicyOutcome(schedule=None, completions=completions)
-                starts[core] = (t_next, len(built))
+                starts[core] = t_next
+                todo.append(core)
         # While every core runs, the reclaim gives base. Once none runs, it
         # gives base again, for the unbounded tail.
         if len(starts) < config.m:
-            next_vec = _reclaim_vector(base, [part for queue in queues.values() for part in queue])
-            if next_vec != current_vec:
-                events.clear()
-                current_vec = next_vec
-        current_start = t_next
+            next_vec = _reclaim_vector(base, memory, demand)
+            if next_vec != vector:
+                runs.append(BudgetInterval(vector, t_next - run_starts[-1]))
+                run_starts.append(t_next)
+                vector = next_vec
+                todo = list(starts)
+        now = t_next
 
-    schedule = MemorySchedule(intervals=(*built, BudgetInterval(budgets=current_vec, length=None)))
+    intervals = [BudgetInterval(budgets=vec, length=length) for vec, length in built]
+    schedule = MemorySchedule(intervals=(*intervals, BudgetInterval(budgets=vector, length=None)))
     return DynamicPolicyOutcome(schedule=schedule, completions=completions)
 
 

@@ -36,6 +36,16 @@ lies on or below the chord from the vertex before it. So core i's curve is
 F's vertices below q_i, then (q_i, Q - q_i), hulled by popping from the
 end. A vector's F takes one sort; each core's curve then costs O(m) at
 most, and is built only when asked for.
+
+The closed forms of :mod:`membw.static_analysis` read no
+:class:`StallCurve`: :func:`_core_pieces` gives a core's segments as pieces
+(coeff, key, rise, width), with the coefficient and the exact slope key
+the closed forms need. On the first such request
+for a vector its table builds F's pieces, once, and checks that each has a
+width >= 1 and a slope strictly below the one before. A core's pieces are
+then F's pieces below its last hull vertex, shared, and one end piece to
+(q_i, Q - q_i), checked against the piece before it. The hull pops are the
+curve builder's, so the pieces are the curve's segments.
 """
 
 from __future__ import annotations
@@ -60,8 +70,9 @@ class BudgetVector:
     Single-entry vectors are accepted so degenerate no-interference curves
     can be built in tests.
 
-    :func:`curve_for_core` pins the vector's curve table on the instance on
-    its first call, so later calls on it skip the cache lookup.
+    :func:`curve_for_core` and :func:`_core_pieces` pin the vector's curve
+    table on the instance on its first call, so later calls on it skip the
+    cache lookup.
     """
 
     budgets: tuple[int, ...]
@@ -261,6 +272,10 @@ def concave_envelope(raw: RawStallPoints) -> StallCurve:
     return StallCurve(core=raw.core, q=raw.q, segments=segments)
 
 
+# A closed-form piece of a curve segment: (coeff, key, rise, width).
+Piece = tuple[int, int, int, int]
+
+
 def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
     """Stall curve for ``core`` without materializing all q + 1 raw points.
 
@@ -275,14 +290,33 @@ def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
     return table[core]
 
 
+def _core_pieces(budgets: BudgetVector, core: int) -> tuple[Piece, ...]:
+    """The closed forms' view of ``core``'s curve: its segments as pieces
+    (coeff, key, rise, width), steepest first, from the vector's table.
+
+    A segment (start, value, rise, width) of the curve under Q = the
+    vector's total has ``coeff`` = (Q - value) * width + rise * start and
+    ``key`` = -floor(rise * Q^2 / width), which orders the slopes of every
+    vector summing to Q exactly, as in :func:`_by_slope`: every width is at
+    most Q. No :class:`StallCurve` is built.
+    """
+    table = budgets._curves
+    if table is None:
+        table = _cached_curve(budgets)
+        object.__setattr__(budgets, "_curves", table)
+    pieces = table.pieces.get(core)
+    return table.pieces_for(core) if pieces is None else pieces
+
+
 class _CurveTable(dict):
     """One vector's stall curves by core, each built on its first request.
 
     ``xs`` and ``ys`` list F's vertices (see the module docstring): x = 0,
-    then each distinct budget in increasing order.
+    then each distinct budget in increasing order. ``shared`` holds F's
+    pieces and ``pieces`` each core's, for :func:`_core_pieces`.
     """
 
-    __slots__ = ("budgets", "total", "xs", "ys")
+    __slots__ = ("budgets", "total", "xs", "ys", "shared", "pieces")
 
     def __init__(self, budgets: tuple[int, ...]) -> None:
         super().__init__()
@@ -298,13 +332,17 @@ class _CurveTable(dict):
                 xs.append(q)
                 ys.append(below + q * (m - n - 1))
         self.total, self.xs, self.ys = below, xs, ys
+        self.shared: list[Piece] | None = None
+        self.pieces: dict[int, tuple[Piece, ...]] = {}
 
     def __reduce__(self) -> tuple:
         # A pickled vector carries only its budgets; the copy's table builds
         # its curves again on request.
         return _CurveTable, (self.budgets,)
 
-    def __missing__(self, core: int) -> StallCurve:
+    def _hull_end(self, core: int) -> tuple[int, int, int]:
+        """(n, q, Q - q) for ``core``: its curve is F's first n vertices,
+        then (q, Q - q)."""
         _check_core(len(self.budgets), core)
         q = self.budgets[core - 1]
         top = self.total - q
@@ -317,6 +355,11 @@ class _CurveTable(dict):
             if (ax - ox) * (top - oy) - (ay - oy) * (q - ox) < 0:
                 break
             n -= 1
+        return n, q, top
+
+    def __missing__(self, core: int) -> StallCurve:
+        n, q, top = self._hull_end(core)
+        xs, ys = self.xs, self.ys
         new = tuple.__new__
         segments = [new(Segment, (x, y, y1 - y, x1 - x)) for x, y, x1, y1 in zip(xs, ys, xs[1:n], ys[1:n])]
         x, y = xs[n - 1], ys[n - 1]
@@ -324,13 +367,35 @@ class _CurveTable(dict):
         curve = self[core] = StallCurve(core=core, q=q, segments=tuple(segments))
         return curve
 
+    def pieces_for(self, core: int) -> tuple[Piece, ...]:
+        """Build, check and keep ``core``'s pieces (see :func:`_core_pieces`)."""
+        xs, ys, q_total = self.xs, self.ys, self.total
+        shared = self.shared
+        if shared is None:
+            shared = self.shared = []
+            for x, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+                shared.append(_piece(q_total, x, y, y1 - y, x1 - x, shared[-1] if shared else None))
+        n, q, top = self._hull_end(core)
+        x, y = xs[n - 1], ys[n - 1]
+        end = _piece(q_total, x, y, top - y, q - x, shared[n - 2] if n > 1 else None)
+        pieces = self.pieces[core] = (*shared[: n - 1], end)
+        return pieces
+
+
+def _piece(q_total: int, start: int, value: int, rise: int, width: int, before: Piece | None) -> Piece:
+    """The piece (coeff, key, rise, width) of a segment, checked to be
+    non-empty and strictly flatter than the piece ``before`` it."""
+    if width < 1 or (before is not None and rise * before[3] >= before[2] * width):
+        raise InvariantError(f"stall curve table: the piece at {start} is empty or not strictly flatter than the one before")
+    return (q_total - value) * width + rise * start, -(rise * q_total * q_total // width), rise, width
+
 
 @lru_cache(maxsize=256)
 def _cached_curve(budgets: BudgetVector) -> _CurveTable:
     """The curve tables of recently used vectors, by value.
 
-    Each vector instance asks once (:func:`curve_for_core` pins the table on
-    it), so the cache serves equal vectors built anew: SE's even split for
+    Each vector instance asks once (:func:`curve_for_core` and
+    :func:`_core_pieces` pin the table on it), so the cache serves equal vectors built anew: SE's even split for
     every set, and a DY or SU vector that an earlier set or event already
     built. An m = 8 DY set touches 2.8 vectors on average and 12 at most,
     and the 1,245 vectors of a 480-set ``ima-dy`` pool are nearly all

@@ -43,6 +43,8 @@ beta <= q * W < mu. The least root is therefore
     R = min over e of ceil((beta * w + r * mu) / coeff_e),
 
 O(m) for a curve of at most m segments, with no iteration, result or trace.
+It reads the segments as :func:`membw.stall_curve._core_pieces` gives them,
+with coeff_e computed once per vector and core, and checks coeff_e > 0.
 
 The same argument, read as LP duality, gives the least root of a view that
 runs history intervals j (lengths L_j, L in all) and then a vector unbounded,
@@ -76,7 +78,13 @@ admits every T from one ceiling division on, and
 
 with N the left-hand side. Sorted by slope, the two sums are running sums of
 rises and widths, so the view costs O(S log S) for S pieces, and a run of
-equal vectors needs no merging: its pieces only tie. With no history the
+equal vectors gives the same root whether it comes as one interval or as
+several: its pieces only tie, and tied pieces add their L_j-weighted rises
+and widths. So DY passes one interval per run. Each core's pieces come
+sorted and keyed from :func:`membw.stall_curve._core_pieces`, under the key
+scale Q^2 of their own vector, so the merge of the tail's and the history's
+pieces is exact only when every vector sums to the tail's Q; a history
+vector over another total raises :class:`InvariantError`. With no history the
 running sums of the tail's segments steeper than e are e's value and start,
 and the formula is :func:`_static_span`'s. The formula holds for W >= L
 only, so it needs R > L: the minimum is <= 0 exactly when W = L is a root,
@@ -92,7 +100,7 @@ from collections.abc import Sequence
 from .dynamic_analysis import AnalysisResult, _dynamic_span, _limit
 from .errors import InvariantError
 from .schedule import BudgetInterval, MemorySchedule, RegulationConfig, Workload
-from .stall_curve import BudgetVector, _by_slope, curve_for_core
+from .stall_curve import BudgetVector, _core_pieces
 
 
 def analyze_static(workload: Workload, budgets: BudgetVector, core: int, config: RegulationConfig) -> AnalysisResult:
@@ -122,14 +130,12 @@ def _static_span(budgets: BudgetVector, core: int, execution: int, memory: int, 
     beta = execution + memory
     if limit is not None and -(-beta // q_total) > limit:
         return None
-    curve = curve_for_core(budgets, core)
-    # The least segment root, kept as the loop goes: collecting the roots
+    # The least piece root, kept as the loop goes: collecting the roots
     # for min() measured slower on IMA's calls.
     least = None
-    for start, value, rise, width in curve.segments:
-        coeff = (q_total - value) * width + rise * start
+    for coeff, _, rise, width in _core_pieces(budgets, core):
         if coeff <= 0:
-            raise InvariantError(f"closed-form span: segment at {start} has coefficient {coeff} <= 0")
+            raise InvariantError(f"closed-form span: a piece of slope {rise}/{width} has coefficient {coeff} <= 0")
         root = -(-(beta * width + rise * memory) // coeff)
         least = root if least is None or root < least else least
     return least if limit is None or least <= limit else None
@@ -155,18 +161,27 @@ def _view_span(
     """
     q_total = budgets.total
     beta = execution + memory
-    length = sum(iv.length for iv in history)
+    length = 0
+    for iv in history:
+        if iv.budgets.total != q_total:
+            raise InvariantError(f"closed-form view span: a history vector sums to {iv.budgets.total}, the tail to {q_total}")
+        length += iv.length
     if limit is not None and (length >= limit or -(-beta // q_total) > limit):
         return None
-    # Each curve tagged with its interval's L_j, 0 for the tail; its pieces
-    # go in the greedy's exact slope order.
-    curves = [(0, curve_for_core(budgets, core)), *((iv.length, curve_for_core(iv.budgets, core)) for iv in history)]
+    # Every piece tagged with its interval's L_j, 0 for the tail, in the
+    # greedy's exact slope order: the keys share the scale Q^2, since every
+    # vector sums to Q.
+    pieces = [(key, 0, rise, width) for _, key, rise, width in _core_pieces(budgets, core)]
+    for iv in history:
+        periods = iv.length
+        pieces += [(key, periods, rise, width) for _, key, rise, width in _core_pieces(iv.budgets, core)]
+    pieces.sort()
     # Running sums over the pieces steeper than the current one: rises and
     # widths, history pieces weighted by L_j, tail pieces unweighted.
     hist_rise = hist_width = tail_rise = tail_width = 0
     excess = beta - q_total * length
     least = key = None
-    for piece_key, periods, rise, width in _by_slope(curves):
+    for piece_key, periods, rise, width in pieces:
         tail = not periods
         if piece_key != key:
             # The first piece of a slope: its ties would add 0, so one

@@ -47,6 +47,7 @@ from membw.ima import (
     preset_sweep,
     rows_to_csv,
     run_sweep,
+    _demand_sums,
     _reclaim_vector,
     split_budget_by_weights,
 )
@@ -294,7 +295,8 @@ class TestBudgetSplitting:
             Partition(id=pid, core=core, execution=10, memory=0)
             for pid, core in enumerate((1, 3, 4))
         ]
-        assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), unfinished).budgets == (7, 1, 7, 5)
+        sums = _demand_sums(4, unfinished)
+        assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), *sums).budgets == (7, 1, 7, 5)
 
 
 def _largest_remainder_fraction(total: int, weights: list[Fraction]) -> list[int]:
@@ -431,7 +433,8 @@ class TestDynamicPolicy:
         # viewed again only when the vector changes: a _view_span call,
         # whose intervals built since its start end in a vector other than
         # the unbounded tail's. A hypothesis computed at any other moment
-        # breaks one of these.
+        # breaks one of these. The view holds one interval per run of equal
+        # vectors, so no two adjacent intervals share a vector.
         views = []
         static_span, view_span = ima._static_span, ima._view_span
 
@@ -463,6 +466,8 @@ class TestDynamicPolicy:
                     later += 1
                     assert demand in started
                     assert history and history[-1].budgets != tail
+                    # One interval per run of equal vectors.
+                    assert all(a.budgets != b.budgets for a, b in zip(history, history[1:]))
         assert starts > later > 0
 
     def test_unschedulable_set_reports_no_schedule(self):

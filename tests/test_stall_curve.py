@@ -173,6 +173,47 @@ class TestEnvelope:
             assert all(type(seg) is Segment for seg in fast.segments)
 
 
+@given(vector_and_order(max_m=16))
+@example(((1,), (1,)))
+@example(((1, 1, 1), (3, 1, 2)))
+@example(((1, 2, 3), (2, 3, 1)))
+@example(((7, 7, 1, 7, 2), (4, 1, 5, 3, 2)))
+@settings(max_examples=200)
+def test_core_pieces_are_the_curve_segments(vo):
+    # Every core's closed-form pieces, read from a fresh table in a drawn
+    # order before any curve is built, are its curve's segments, each with
+    # coeff (Q - value) * width + rise * start and key -floor(rise * Q^2 / width).
+    budgets, order = vo
+    stall_curve._cached_curve.cache_clear()
+    vec = BudgetVector(budgets)
+    q_total = vec.total
+    pieces = {core: stall_curve._core_pieces(vec, core) for core in order}
+    for core in order:
+        assert pieces[core] == tuple(
+            ((q_total - value) * width + rise * start, -(rise * q_total**2 // width), rise, width)
+            for start, value, rise, width in curve_for_core(vec, core).segments
+        )
+
+
+def test_core_pieces_are_checked():
+    # F's pieces are checked on the first read: a table whose second vertex
+    # is forged below the chord has a piece steeper than the one before it.
+    table = stall_curve._CurveTable(VEC.budgets)
+    assert (table.xs, table.ys) == ([0, 2, 5, 7], [0, 6, 9, 9])
+    table.ys[1] = 2
+    with pytest.raises(InvariantError, match="not strictly flatter"):
+        table.pieces_for(3)
+    # Each core's end piece goes through the same check against the piece
+    # before it: an equal slope or an empty piece fails.
+    before = stall_curve._piece(16, 0, 0, 6, 2, None)
+    with pytest.raises(InvariantError, match="not strictly flatter"):
+        stall_curve._piece(16, 2, 6, 9, 3, before)
+    with pytest.raises(InvariantError, match="empty"):
+        stall_curve._piece(16, 2, 6, 0, 0, before)
+    with pytest.raises(InvariantError, match="core index"):
+        stall_curve._core_pieces(VEC, 5)
+
+
 class TestStallOver:
     def test_worked_product(self):
         curve = curve_for_core(VEC, 3)

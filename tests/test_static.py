@@ -16,7 +16,6 @@ from membw import (
     MemorySchedule,
     RegulationConfig,
     Segment,
-    StallCurve,
     Workload,
     analyze_dynamic,
     analyze_static,
@@ -255,14 +254,33 @@ def test_closed_form_span_at_ima_scale():
     assert outcomes == {False, True}
 
 
-def test_closed_form_miss_at_the_first_iterate_builds_no_curve(monkeypatch):
+def _counting_pieces(monkeypatch) -> list[int]:
+    """Hook the closed forms' piece reads; returns the cores read, in order."""
     built = []
+    pieces = static_analysis._core_pieces
 
     def counting(budgets, core):
         built.append(core)
-        return curve_for_core(budgets, core)
+        return pieces(budgets, core)
 
-    monkeypatch.setattr(static_analysis, "curve_for_core", counting)
+    monkeypatch.setattr(static_analysis, "_core_pieces", counting)
+    return built
+
+
+def _forged_pieces(monkeypatch) -> None:
+    """Make every piece read return a forged curve's pieces under Q = 16.
+
+    No curve built from a vector reads above Q - q, so only a forged one,
+    whose second piece starts at 20 > Q = 16, gives that piece the
+    coefficient (16 - 20) * 3 + 1 * 2 = -10.
+    """
+    segments = (Segment(start=0, value=0, rise=20, width=2), Segment(start=2, value=20, rise=1, width=3))
+    forged = tuple(((16 - value) * width + rise * start, -(rise * 16**2 // width), rise, width) for start, value, rise, width in segments)
+    monkeypatch.setattr(static_analysis, "_core_pieces", lambda budgets, core: forged)
+
+
+def test_closed_form_miss_at_the_first_iterate_builds_no_curve(monkeypatch):
+    built = _counting_pieces(monkeypatch)
     # beta = 33 over Q = 16: the first iterate is 3 periods, the span 5.
     assert _static_span(VEC, 3, 20, 13, 2) is None
     assert built == []
@@ -272,12 +290,7 @@ def test_closed_form_miss_at_the_first_iterate_builds_no_curve(monkeypatch):
 
 
 def test_closed_form_rejects_a_non_positive_coefficient(monkeypatch):
-    # No curve built from a vector reads above Q - q, so only a forged one,
-    # whose second piece starts at 20 > Q = 16, gives that piece the
-    # coefficient (16 - 20) * 3 + 1 * 2 = -10.
-    segments = (Segment(start=0, value=0, rise=20, width=2), Segment(start=2, value=20, rise=1, width=3))
-    forged = StallCurve(core=3, q=5, segments=segments)
-    monkeypatch.setattr(static_analysis, "curve_for_core", lambda budgets, core: forged)
+    _forged_pieces(monkeypatch)
     with pytest.raises(InvariantError, match="coefficient -10"):
         _static_span(VEC, 3, 1, 40, None)
 
@@ -330,14 +343,44 @@ def test_view_span_matches_the_kernel(inst):
         assert _view_span(history, budgets, core, execution, memory, limit) == (result.span if result.converged else None)
 
 
+def _merged(history):
+    """``history`` with each run of equal adjacent vectors as one interval."""
+    merged = []
+    for iv in history:
+        if merged and merged[-1].budgets == iv.budgets:
+            iv = BudgetInterval(iv.budgets, merged.pop().length + iv.length)
+        merged.append(iv)
+    return tuple(merged)
+
+
+@given(view_instances())
+@settings(max_examples=300, deadline=None)
+@example(((BudgetInterval(BudgetVector((1, 1, 5)), 2), BudgetInterval(BudgetVector((1, 1, 5)), 1)), BudgetVector((2, 3, 2)), 3, 40, 9))
+def test_view_span_is_the_same_over_merged_runs(inst):
+    # A run of equal vectors adds its pieces' L_j-weighted sums whether it
+    # comes as one interval or several: DY passes one interval per run.
+    history, budgets, core, execution, memory = inst
+    merged = _merged(history)
+    for limit in (None, 60):
+        try:
+            span = _view_span(history, budgets, core, execution, memory, limit)
+        except InvariantError:
+            with pytest.raises(InvariantError, match="within the"):
+                _view_span(merged, budgets, core, execution, memory, limit)
+            continue
+        assert _view_span(merged, budgets, core, execution, memory, limit) == span
+
+
+def test_view_span_rejects_a_history_over_another_total():
+    # The pieces' slope keys share the scale Q^2 only when every vector sums
+    # to Q.
+    history = (BudgetInterval(VEC, 1), BudgetInterval(BudgetVector((2, 2, 5, 8)), 1))
+    with pytest.raises(InvariantError, match="sums to 17, the tail to 16"):
+        _view_span(history, VEC, 3, 40, 24, None)
+
+
 def test_view_span_miss_before_any_curve(monkeypatch):
-    built = []
-
-    def counting(budgets, core):
-        built.append(core)
-        return curve_for_core(budgets, core)
-
-    monkeypatch.setattr(static_analysis, "curve_for_core", counting)
+    built = _counting_pieces(monkeypatch)
     history = (BudgetInterval(VEC, 2),)
     # A history that reaches the limit, then a first iterate past it:
     # beta = 64 over Q = 16 is 4 periods.
@@ -350,10 +393,8 @@ def test_view_span_miss_before_any_curve(monkeypatch):
 
 
 def test_view_span_rejects_a_non_positive_coefficient(monkeypatch):
-    # The forged curve of the closed-form test above, as the tail: with no
-    # steeper piece, its second piece reads (16 - 20) * 3 + 1 * 2 = -10.
-    segments = (Segment(start=0, value=0, rise=20, width=2), Segment(start=2, value=20, rise=1, width=3))
-    forged = StallCurve(core=3, q=5, segments=segments)
-    monkeypatch.setattr(static_analysis, "curve_for_core", lambda budgets, core: forged)
+    # The forged curve of the closed-form test above, as the tail: past its
+    # steeper first piece, its second piece reads (16 - 20) * 3 + 1 * 2 = -10.
+    _forged_pieces(monkeypatch)
     with pytest.raises(InvariantError, match="coefficient -10"):
         _view_span((BudgetInterval(VEC, 1),), VEC, 3, 1, 40, None)
