@@ -9,19 +9,21 @@ the memory demand mu distributed over the intervals so that the summed stall
 is maximized subject to mu^j <= W^j * q^j and sum mu^j <= mu. Because every
 per-interval curve is concave, a marginal-slope greedy is exact: always feed
 the interval whose curve is steepest at its current rate, jumping rates from
-segment start point to segment start point. The greedy sorts the reached
-intervals' segments by slope once, so a span reaching S segments in all
-costs O(S log S). It sums S as it places the memory and returns it with the
-assignment.
-
-The split's nonzero parts are a prefix of the schedule, and spans only grow,
-so an interval's curve is built when a span first reaches it, and the greedy
-and the breakdown take curves for that reached prefix only. An unreached
-interval costs no curve; its breakdown row reads W = 0, mu = 0, S = 0.
+segment start point to segment start point. The greedy,
+:func:`distribute_memory`, sorts the reached intervals' segments by slope
+once, so a span reaching S segments in all costs O(S log S). It sums S as it
+places the memory and returns it with the assignment.
 
 This module also holds the one fixed-point loop, W = ceil((beta + S(W)) / Q),
-:func:`_dynamic_span`, which runs the split + greedy above at the iterates
-whose capacity exceeds mu, and the record it writes, :class:`AnalysisResult`.
+:func:`_dynamic_span`, and the record it writes, :class:`AnalysisResult`.
+The loop runs neither the split nor the greedy: it keeps the greedy's
+answer in running sums across iterates (see its docstring), reading each
+reached interval's pieces once, as :func:`membw.stall_curve._core_pieces`
+gives them. An interval the spans never reach costs nothing. The record
+keeps ``(schedule, core, mu)``, and its breakdown runs one split, the
+reached curves and one greedy at the converged span when first read; an
+unreached interval's row reads W = 0, mu = 0, S = 0.
+
 Both public analyzers run this kernel:
 :func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
 interval. The loop takes integers and checks the core; the public analyzers
@@ -30,15 +32,15 @@ policies run no loop: every view they analyze ends in an unbounded vector,
 and its least root has a closed form in :mod:`membw.static_analysis`.
 
 Answers are exact. Inside the loop a stall is an integer numerator over an
-integer denominator: the width of the one curve segment the greedy filled in
-part, or 1. The next iterate is an integer ceiling division. The result
-records the iterates as integers; a :class:`Fraction` is built only when the
+integer denominator: the width of the one piece the greedy fills in part,
+or 1. The next iterate is an integer ceiling division. The result records
+the iterates as integers; a :class:`Fraction` is built only when the
 result's trace (one per iterate) or breakdown (one per interval) is read.
 
 While mu covers the span's capacity caps(W) = sum W^j * q^j, the greedy
 would fill every reached segment, so S(W) = Q * W - caps(W) over 1. The loop
 reads caps(W) off the schedule's cumulative ends and capacities with one
-bisection, and runs neither the split nor the greedy there. Such a climb is
+bisection, and reads no pieces there. Such a climb is
 slow, often one period per iterate, and S is affine in W until the interval
 holding W ends or its capacity catches up with mu: a stride. Along a stride
 the step to the next iterate never grows, so the loop crosses each run of
@@ -54,12 +56,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import accumulate
 from operator import mul
 
 from .errors import InvariantError
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, _by_slope, curve_for_core
+from .stall_curve import StallCurve, _by_slope, _core_pieces, curve_for_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +73,8 @@ class MemoryAssignment:
     is the width of the one curve segment the greedy filled in part, or 1
     when it filled whole segments only. ``saturated`` marks the degenerate
     outcome where every interval hit its capacity W^j * q^j before all of mu
-    was placed. The fixed-point loop finds such spans from the schedule's
-    capacities and calls the greedy only where they exceed mu, so there a
-    saturated assignment raises :class:`InvariantError`.
+    was placed. A result's breakdown calls the greedy only at a converged
+    span, whose capacity exceeds mu, so its assignment is never saturated.
     """
 
     per_interval: tuple[int, ...]
@@ -216,12 +218,15 @@ class AnalysisResult:
     run of iterates as (span, stall numerator, stall denominator, span step,
     numerator step, count), whose iterate i, 0 <= i < count, has the span
     span + i * span step and the stall (numerator + i * numerator step) /
-    denominator. ``detail`` is the fixed point's ``(splits, assignment,
-    curves)``, curves for the reached prefix only, or None.
+    denominator. ``detail`` is what the breakdown needs, ``(schedule, core,
+    mu)``, on convergence, or None.
 
     :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
     built from ``raw`` and ``detail`` when first read and cached, so callers
-    that read only ``status`` and ``span`` pay for neither. Equality,
+    that read only ``status`` and ``span`` pay for neither: the breakdown
+    runs :func:`split_span` at the converged span, builds the curves of the
+    reached prefix and runs :func:`distribute_memory` once, and the loop
+    itself builds no :class:`StallCurve` and runs no greedy. Equality,
     hashing, ``repr`` and pickling come from the fields, that is from the
     record, not from the built trace.
     """
@@ -248,7 +253,11 @@ class AnalysisResult:
     def breakdown(self) -> tuple[IntervalBreakdown, ...] | None:
         if self.detail is None:
             return None
-        splits, assignment, curves = self.detail
+        schedule, core, memory = self.detail
+        splits = split_span(schedule, self.span)
+        # The reached prefix: the intervals with a nonzero split.
+        curves = tuple(curve_for_core(iv.budgets, core) for iv, w in zip(schedule.intervals, splits) if w)
+        assignment = distribute_memory(splits, memory, curves)
         rows = zip(splits, assignment.per_interval, stall_breakdown(splits, assignment, curves))
         return tuple(IntervalBreakdown(j, w, mu, stall) for j, (w, mu, stall) in enumerate(rows, 1))
 
@@ -287,10 +296,12 @@ def _dynamic_span(
 
     The least fixed point of W = ceil((beta + S(W)) / Q), beta = E + mu and
     Q the budgets' total, with S(W) the split + greedy stall over a span of
-    W periods: :func:`split_span`, then :func:`distribute_memory` over the
-    curves of the reached prefix, whose stall is a numerator over a positive
+    W periods: what :func:`distribute_memory` returns over the curves of the
+    reached prefix of :func:`split_span`, a numerator over a positive
     denominator, both integers. Where mu covers the span's capacity, S(W)
-    comes from the schedule alone (below).
+    comes from the schedule alone; elsewhere, from running sums that give
+    the greedy's own numerator and denominator with no split and no greedy
+    call (both below).
 
     The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
     with beta + S(W) <= Q * W. S(W) is the most stall mu transactions can
@@ -336,16 +347,45 @@ def _dynamic_span(
     loop takes that path only when the stride holds W + d too, so an iterate
     outside a stride, or at its end, costs one plain step. A run is one
     entry of the result's ``raw`` (see :class:`AnalysisResult`), so a climb
-    of n iterates costs O(runs) in time and in record size. The result
-    keeps the fixed point's ``(splits, assignment, curves)`` and builds its
-    trace and breakdown from the record and that detail when they are read.
+    of n iterates costs O(runs) in time and in record size.
+
+    Where caps > mu, the greedy fills the reached intervals' pieces (rise
+    r, width w; capacity w * W^i in interval i) in one static order,
+    ``(key, i)`` with the exact slope key of
+    :func:`membw.stall_curve._core_pieces`, steepest first and ties to the
+    lower interval, until mu runs out. As W grows, a full interval's pieces
+    keep the capacity w * L^i, the pieces of the interval holding W grow,
+    and new intervals' pieces only join, so the piece the greedy stops in,
+    the boundary, only moves toward steeper pieces. The loop therefore keeps
+    the pieces up to the boundary, the filled ones, in a heap with the last
+    one filled on top, and four sums over them: the L^i-weighted capacity
+    and rise of the full intervals' pieces, and the width and rise of the
+    pieces of interval c, which holds the span's last W^c periods. Their
+    capacity is then full + W^c * width, and their stall full rise +
+    W^c * rise. When the span first reaches an interval past c, c's sums
+    fold into the full ones with weight L^c, and the pieces of every newly
+    reached interval join the heap, each interval's read once. Then, at
+    each iterate, the top piece leaves while the filled pieces hold mu
+    without it, which also drops the joined pieces flatter than the
+    boundary. If the filled pieces hold mu exactly, S(W) is their stall over 1;
+    otherwise mu runs out in the top piece (r, w) with ``left`` of it
+    placed, and S(W) is ((stall - r * W^i) * w + r * left) / w: the
+    greedy's own numerator and denominator, with no split and no sort.
+    Every piece joins and leaves the heap at most once, so an unsaturated
+    climb costs O(1) per iterate and O(log S) per piece, not a split and a
+    greedy per iterate. Only the first span with caps > mu reads pieces,
+    so a saturated climb reads none.
+
+    The record keeps ``(schedule, core, mu)`` at the fixed point, from which
+    the result builds its breakdown when it is read (see
+    :class:`AnalysisResult`), and its trace from ``raw``.
 
     A span with caps <= mu is no fixed point: its next iterate is
     W + ceil((E + mu - caps) / Q) >= W + 1, as E >= 1. Where caps exceeds
-    mu the greedy places all of mu, so a greedy that reports ``saturated``
-    there raises :class:`InvariantError`, as does an iterate below its
-    predecessor. The defensive cap bounds the span, so it bounds the
-    iterates however many a run covers.
+    mu the reached pieces hold all of mu, so filled pieces that do not hold
+    it raise :class:`InvariantError` ("the greedy saturated a span"), as
+    does an iterate below its predecessor. The defensive cap bounds the
+    span, so it bounds the iterates however many a run covers.
     """
     intervals = schedule.intervals
     n = len(intervals)
@@ -357,9 +397,12 @@ def _dynamic_span(
     lengths = [iv.length for iv in intervals if iv.length is not None]
     ends = list(accumulate(lengths, initial=0))
     capacities = list(accumulate(map(mul, lengths, budgets), initial=0))
-    # The curves of the intervals reached so far: spans only grow, and the
-    # intervals a span reaches are a prefix of the schedule.
-    curves: tuple[StallCurve, ...] = ()
+    # The pieces the greedy fills, of the first ``reached`` intervals (a
+    # prefix, as spans only grow): a heap of (-key, -interval, rise, width),
+    # the last piece filled on top, and the sums over them (see the
+    # docstring). Interval reached - 1 holds the span's last periods.
+    filled: list[tuple[int, int, int, int]] = []
+    reached = full_cap = full_rise = cur_width = cur_rise = 0
     span = -(-beta // q_total)
     raw = [(span, 0, 1)]
     # No iterate may pass top: the deadline, or else the defensive cap. A
@@ -383,13 +426,50 @@ def _dynamic_span(
             rate = q_total - q
             last = min(span + (memory - caps) // q, top, ends[j + 1] if j + 1 < len(ends) else top)
         else:
-            splits = split_span(schedule, span)
-            if j >= len(curves):
-                curves += tuple(curve_for_core(iv.budgets, core) for iv in intervals[len(curves) : j + 1])
-            assignment = distribute_memory(splits, memory, curves)
-            if assignment.saturated:
+            part = span - ends[j]
+            if j >= reached:
+                if reached:
+                    # The span has left interval reached - 1: its pieces
+                    # now hold L periods each.
+                    length = lengths[reached - 1]
+                    full_cap += length * cur_width
+                    full_rise += length * cur_rise
+                    cur_width = cur_rise = 0
+                # The reached intervals' pieces join the filled ones; the
+                # boundary drops those the greedy does not fill.
+                for i in range(reached, j + 1):
+                    for _, key, rise, width in _core_pieces(intervals[i].budgets, core):
+                        heappush(filled, (-key, -i, rise, width))
+                        if i == j:
+                            cur_width += width
+                            cur_rise += rise
+                        else:
+                            full_cap += lengths[i] * width
+                            full_rise += lengths[i] * rise
+                reached = j + 1
+            # Move the boundary steeper while the filled pieces hold mu
+            # without the last one.
+            cap = full_cap + part * cur_width
+            while filled:
+                _, back, rise, width = filled[0]
+                periods = part if back == -j else lengths[-back]
+                piece = periods * width
+                if cap - piece < memory:
+                    break
+                heappop(filled)
+                cap -= piece
+                if back == -j:
+                    cur_width -= width
+                    cur_rise -= rise
+                else:
+                    full_cap -= piece
+                    full_rise -= periods * rise
+            if cap < memory:
                 raise InvariantError("the greedy saturated a span whose capacity covers the memory")
-            num, den = assignment.stall
+            num, den = full_rise + part * cur_rise, 1
+            if cap > memory:
+                # The greedy stops inside the last filled piece.
+                num, den = (num - periods * rise) * width + rise * (memory - cap + piece), width
             rate = last = 0
         beta_den, q_den = beta * den, q_total * den
         nxt = -(-(beta_den + num) // q_den)
@@ -397,8 +477,7 @@ def _dynamic_span(
             raise InvariantError("span iterates must be non-decreasing")
         if nxt == span:
             raw.append((nxt, num, den))
-            detail = (splits, assignment, curves)
-            return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)
+            return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), (schedule, core, memory))
         if nxt <= last:
             # The stride holds the next iterate too: take the whole run of
             # iterates that keep this step (see the docstring).

@@ -37,15 +37,18 @@ F's vertices below q_i, then (q_i, Q - q_i), hulled by popping from the
 end. A vector's F takes one sort; each core's curve then costs O(m) at
 most, and is built only when asked for.
 
-The closed forms of :mod:`membw.static_analysis` read no
-:class:`StallCurve`: :func:`_core_pieces` gives a core's segments as pieces
-(coeff, key, rise, width), with the coefficient and the exact slope key
-the closed forms need. On the first such request
-for a vector its table builds F's pieces, once, and checks that each has a
-width >= 1 and a slope strictly below the one before. A core's pieces are
-then F's pieces below its last hull vertex, shared, and one end piece to
-(q_i, Q - q_i), checked against the piece before it. The hull pops are the
-curve builder's, so the pieces are the curve's segments.
+The closed forms of :mod:`membw.static_analysis` and the fixed-point loop of
+:mod:`membw.dynamic_analysis` read no :class:`StallCurve`:
+:func:`_core_pieces` gives a core's segments as pieces (coeff, key, rise,
+width), with the coefficient and the exact slope key they need. A core's
+pieces are F's first pieces, up to its last hull vertex below q_i, shared
+by the vector's cores, and one end piece to (q_i, Q - q_i), checked against
+the piece before it. The table builds F's pieces only as far as a request
+reads them, each once, and checks that each has a width >= 1 and a slope
+strictly below the one before; a core that reads further extends them. So
+a vector read for one core, as the loop reads each interval of a CLI
+scenario, pays for that core's pieces only, not for all m. The hull pops
+are the curve builder's, so the pieces are the curve's segments.
 """
 
 from __future__ import annotations
@@ -291,8 +294,9 @@ def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
 
 
 def _core_pieces(budgets: BudgetVector, core: int) -> tuple[Piece, ...]:
-    """The closed forms' view of ``core``'s curve: its segments as pieces
-    (coeff, key, rise, width), steepest first, from the vector's table.
+    """The closed forms' and the fixed-point loop's view of ``core``'s
+    curve: its segments as pieces (coeff, key, rise, width), steepest first,
+    from the vector's table.
 
     A segment (start, value, rise, width) of the curve under Q = the
     vector's total has ``coeff`` = (Q - value) * width + rise * start and
@@ -313,26 +317,28 @@ class _CurveTable(dict):
 
     ``xs`` and ``ys`` list F's vertices (see the module docstring): x = 0,
     then each distinct budget in increasing order. ``shared`` holds F's
-    pieces and ``pieces`` each core's, for :func:`_core_pieces`.
+    pieces built so far, a prefix, and ``pieces`` each core's, for
+    :func:`_core_pieces`.
     """
 
     __slots__ = ("budgets", "total", "xs", "ys", "shared", "pieces")
 
     def __init__(self, budgets: tuple[int, ...]) -> None:
-        super().__init__()
-        m = len(budgets)
         self.budgets = budgets
-        below = 0
+        below, above = 0, len(budgets)
         xs, ys = [0], [0]
-        ordered = sorted(budgets)
-        for n, q in enumerate(ordered, start=1):
+        for q in sorted(budgets):
             below += q
-            if n == m or ordered[n] != q:
-                # F(q) = (sum of the n budgets <= q) + q * (m - n budgets above q) - q.
+            above -= 1
+            # F(q) = (sum of the budgets <= q) + q * (budgets above q) - q,
+            # once every budget equal to q is counted.
+            if q == xs[-1]:
+                ys[-1] = below + q * (above - 1)
+            else:
                 xs.append(q)
-                ys.append(below + q * (m - n - 1))
+                ys.append(below + q * (above - 1))
         self.total, self.xs, self.ys = below, xs, ys
-        self.shared: list[Piece] | None = None
+        self.shared: list[Piece] = []
         self.pieces: dict[int, tuple[Piece, ...]] = {}
 
     def __reduce__(self) -> tuple:
@@ -368,14 +374,17 @@ class _CurveTable(dict):
         return curve
 
     def pieces_for(self, core: int) -> tuple[Piece, ...]:
-        """Build, check and keep ``core``'s pieces (see :func:`_core_pieces`)."""
+        """Build, check and keep ``core``'s pieces (see :func:`_core_pieces`).
+
+        F's pieces are built and checked only as far as this core reads
+        them, its first n - 1; a later core that reads further extends them.
+        """
         xs, ys, q_total = self.xs, self.ys, self.total
         shared = self.shared
-        if shared is None:
-            shared = self.shared = []
-            for x, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
-                shared.append(_piece(q_total, x, y, y1 - y, x1 - x, shared[-1] if shared else None))
         n, q, top = self._hull_end(core)
+        for k in range(len(shared), n - 1):
+            x, y = xs[k], ys[k]
+            shared.append(_piece(q_total, x, y, ys[k + 1] - y, xs[k + 1] - x, shared[-1] if shared else None))
         x, y = xs[n - 1], ys[n - 1]
         end = _piece(q_total, x, y, top - y, q - x, shared[n - 2] if n > 1 else None)
         pieces = self.pieces[core] = (*shared[: n - 1], end)

@@ -406,41 +406,62 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
         result.span = 0
 
 
-# The loop's guards, driven by a fake greedy: E = 10, mu = 0 and Q = 10, so
-# the first iterate is W = 1 and a zero stall holds it.
+# The loop's guards, driven by forged pieces (coeff, key, rise, width) for
+# the one interval of a static (5, 5) schedule: E = 10 and Q = 10, so the
+# first iterate is W = 2 for mu = 2 or 3, whose capacity 2 * 5 exceeds mu.
 @pytest.mark.parametrize(
-    ("distribute", "message"),
+    ("pieces", "memory", "message"),
     [
-        # A saturated assignment at a span whose capacity covers mu = 0.
-        (lambda splits, memory, curves: MemoryAssignment((0,), True, (0, 1)), "greedy saturated a span"),
-        # S(1) = 100 sends W to 11, where the stall falls back to 0.
-        (
-            lambda splits, memory, curves: MemoryAssignment((0,), False, (100 if splits == (1,) else 0, 1)),
-            "non-decreasing",
-        ),
-        # W + 1 forever.
-        (lambda splits, memory, curves: MemoryAssignment((0,), False, (10 * splits[0], 1)), "defensive cap"),
+        # One piece of width 1 holds 2 of mu = 3 transactions.
+        (((0, 0, 1, 1),), 3, "greedy saturated a span"),
+        # A flat piece keyed before a steep one: S(2) = 25 sends W to 4,
+        # where the flat piece holds mu and the stall falls back to 0.
+        (((0, -100, 0, 1), (0, 0, 100, 4)), 3, "non-decreasing"),
+        # A piece of rise 100 per transaction: S(2) = 200 sends W past the
+        # cap beta + 1 = 13.
+        (((0, -1, 100, 1), (0, 0, 0, 4)), 2, "defensive cap"),
     ],
     ids=["stride-at-fixed-point", "falling-stall", "no-fixed-point"],
 )
-def test_fixed_point_guards(monkeypatch, distribute, message):
-    monkeypatch.setattr(dynamic_analysis, "distribute_memory", distribute)
+def test_fixed_point_guards(monkeypatch, pieces, memory, message):
+    monkeypatch.setattr(dynamic_analysis, "_core_pieces", lambda budgets, core: pieces)
     with pytest.raises(InvariantError, match=message):
-        dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, 0, None)
+        dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, memory, None)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that records each call's
+    arguments, and return the list it appends them to."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_fixed_point_keeps_the_converged_detail(monkeypatch):
-    # The fake greedy's zero stall holds the first iterate, W = 1: the result
-    # keeps that iterate's own split, assignment and curves.
-    assignment = MemoryAssignment((0,), False, (0, 1))
-    monkeypatch.setattr(dynamic_analysis, "distribute_memory", lambda splits, memory, curves: assignment)
-    result = dynamic_analysis._dynamic_span(MemorySchedule.static(BudgetVector((5, 5))), 1, 10, 0, None)
-    assert result.status is AnalysisStatus.CONVERGED
-    assert result.span == 1
-    splits, kept, curves = result.detail
-    assert splits == (1,)
-    assert kept is assignment
-    assert curves == (curve_for_core(BudgetVector((5, 5)), 1),)
+    # The loop runs no split and no greedy. Reading the breakdown runs the
+    # split, the reached curves and the greedy once, at the converged span.
+    greedy = _count_calls(monkeypatch, dynamic_analysis, "distribute_memory")
+    splits_read = _count_calls(monkeypatch, dynamic_analysis, "split_span")
+    result = analyze_dynamic(Workload(execution=15, memory=25), THREE_INTERVALS, 3, CFG16)
+    assert (result.status, result.span) == (AnalysisStatus.CONVERGED, 7)
+    assert result.detail == (THREE_INTERVALS, 3, 25)
+    assert greedy == splits_read == []
+    rows = result.breakdown
+    splits = split_span(THREE_INTERVALS, 7)
+    assert splits_read == [(THREE_INTERVALS, 7)]
+    assert greedy == [(splits, 25, CURVES3[:2])]
+    assignment = distribute_memory(splits, 25, CURVES3[:2])
+    stalls = stall_breakdown(splits, assignment, CURVES3[:2])
+    assert [(b.interval, b.span, b.memory, b.stall) for b in rows] == list(
+        zip((1, 2, 3), splits, assignment.per_interval, stalls)
+    )
+    assert result.breakdown is rows
+    assert len(greedy) == 1
 
 
 def test_the_record_lives_with_the_loop():
@@ -488,10 +509,10 @@ LEAN, RICH = BudgetVector((1, 999)), BudgetVector((2, 998))
 
 
 @pytest.mark.parametrize(
-    ("tail", "workload", "status", "span", "shortfall", "greedy_spans", "entries"),
+    ("tail", "workload", "status", "span", "shortfall", "piece_reads", "entries"),
     [
         # Strides over [1, 40], [41, 80] and [81, 110]; converges just past them.
-        (None, Workload(execution=1, memory=150), AnalysisStatus.CONVERGED, 111, None, [111], 5),
+        (None, Workload(execution=1, memory=150), AnalysisStatus.CONVERGED, 111, None, [LEAN, RICH, LEAN], 5),
         # Misses the 60-period deadline inside the second stride.
         (
             None,
@@ -507,7 +528,7 @@ LEAN, RICH = BudgetVector((1, 999)), BudgetVector((2, 998))
     ],
     ids=["converged", "deadline-miss", "schedule-exhausted"],
 )
-def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, span, shortfall, greedy_spans, entries):
+def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, span, shortfall, piece_reads, entries):
     # Core 1 holds one transaction per period, then two, then one: each
     # iterate grows the span by one period, so the saturated climb crosses
     # both interval boundaries and its stall slope changes at each.
@@ -518,18 +539,15 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
             BudgetInterval(budgets=LEAN, length=tail),
         )
     )
-    calls = []
-
-    def counting_distribute(splits, memory, curves):
-        calls.append(sum(splits))
-        return distribute_memory(splits, memory, curves)
-
-    monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
+    greedy = _count_calls(monkeypatch, dynamic_analysis, "distribute_memory")
+    reads = _count_calls(monkeypatch, dynamic_analysis, "_core_pieces")
     result = analyze_dynamic(workload, schedule, 1, CLIMB_CFG)
     assert (result.status, result.span, result.shortfall) == (status, span, shortfall)
-    # The greedy runs only at spans whose capacity exceeds mu; the saturated
-    # climb is one record entry per stride, each ending at an interval end.
-    assert calls == greedy_spans
+    # The loop runs no greedy. Only a span whose capacity exceeds mu reads
+    # pieces, each reached interval's once; the saturated climb is one
+    # record entry per stride, each ending at an interval end.
+    assert greedy == []
+    assert [budgets for budgets, core in reads] == piece_reads
     assert len(result.raw) == entries
     curves = tuple(curve_for_core(iv.budgets, 1) for iv in schedule.intervals)
     assert [t.span for t in result.trace] == list(range(1, span + 1)) + ([span] if result.converged else [])
@@ -540,24 +558,21 @@ def test_saturated_climb_across_intervals(monkeypatch, tail, workload, status, s
         assert entry.span == math.ceil((workload.execution + workload.memory + stall) / schedule.q_total)
 
 
-def test_saturated_climb_over_many_intervals_runs_the_greedy_once(monkeypatch):
+def test_saturated_climb_over_many_intervals_runs_no_greedy(monkeypatch):
     # 2,000 one-period intervals, then the same vector unbounded: the climb
     # stays saturated, one period per iterate, up to the fixed point at 2001,
-    # where mu = 2,000 fits. Only that span runs the greedy.
+    # where mu = 2,000 fits. Only that span reads pieces, once per interval,
+    # and no span runs the greedy.
     vector = BudgetVector((1, 99999))
     schedule = MemorySchedule(intervals=(*[BudgetInterval(vector, 1)] * 2000, BudgetInterval(vector, None)))
-    calls = []
-
-    def counting_distribute(splits, memory, curves):
-        calls.append(sum(splits))
-        return distribute_memory(splits, memory, curves)
-
-    monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
+    greedy = _count_calls(monkeypatch, dynamic_analysis, "distribute_memory")
+    reads = _count_calls(monkeypatch, dynamic_analysis, "_core_pieces")
     cfg = RegulationConfig(period=Fraction(1), l_max=Fraction(1, 100000))
     result = analyze_dynamic(Workload(execution=1, memory=2000), schedule, 1, cfg)
     assert (result.status, result.span) == (AnalysisStatus.CONVERGED, 2001)
     assert result.to_json_dict()["iterations"] == 2001
-    assert calls == [2001]
+    assert greedy == []
+    assert reads == [(vector, 1)] * 2001
 
 
 # E = 1 on a core holding one of Q = 41666 transactions per period: the
@@ -699,6 +714,105 @@ def test_run_walk_matches_one_iterate_at_a_time():
         seen["deadline inside a run"] += _cut_run(results[unbounded, deadlined], results[unbounded, free])
         seen["schedule ends inside a run"] += _cut_run(results[bounded, free], results[unbounded, free])
     assert min(seen.values()) >= 10, seen
+
+
+def _greedy_kernel(schedule, core, execution, memory, limit):
+    """The fixed point as the kernel found it with the paper's greedy:
+    :func:`split_span` and :func:`distribute_memory` over every reached
+    curve at each iterate whose capacity exceeds mu, saturated strides
+    read off the schedule's prefix capacities as the kernel does.
+
+    Returns the record (status, span, length_slots, raw, shortfall), the
+    breakdown rows (interval, W, mu, S) at convergence, else None, and the
+    intervals holding the spans that ran the greedy."""
+    intervals, q_total, beta = schedule.intervals, schedule.q_total, execution + memory
+    budgets = [iv.budgets.budget_of(core) for iv in intervals]
+    lengths = [iv.length for iv in intervals if iv.length is not None]
+    ends, capacities = [0], [0]
+    for length, q in zip(lengths, budgets):
+        ends.append(ends[-1] + length)
+        capacities.append(capacities[-1] + length * q)
+    curves = tuple(curve_for_core(iv.budgets, core) for iv in intervals)
+    span = -(-beta // q_total)
+    raw = [(span, 0, 1)]
+    greedy_intervals = set()
+    top = limit if limit is not None else beta + 1
+    while span <= top:
+        j = sum(end < span for end in ends) - 1
+        if j == len(intervals):
+            return (AnalysisStatus.SCHEDULE_EXHAUSTED, span, None, tuple(raw), span - ends[-1]), None, greedy_intervals
+        q = budgets[j]
+        caps = capacities[j] + (span - ends[j]) * q
+        if caps <= memory:
+            num, den, rate = q_total * span - caps, 1, q_total - q
+            last = min(span + (memory - caps) // q, top, ends[j + 1] if j + 1 < len(ends) else top)
+        else:
+            greedy_intervals.add(j)
+            splits = split_span(schedule, span)
+            assignment = distribute_memory(splits, memory, curves)
+            assert not assignment.saturated
+            (num, den), rate, last = assignment.stall, 0, 0
+        nxt = -(-(beta * den + num) // (q_total * den))
+        assert nxt >= span
+        if nxt == span:
+            raw.append((nxt, num, den))
+            stalls = stall_breakdown(splits, assignment, curves)
+            rows = list(zip(range(1, len(splits) + 1), splits, assignment.per_interval, stalls))
+            return (AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), None), rows, greedy_intervals
+        if nxt <= last:
+            step = nxt - span
+            count = min(
+                -(-(beta * den + num - q_total * den * (nxt - 1)) // ((q_total * den - rate) * step)),
+                (last - span) // step + 1,
+            )
+            raw.append((nxt, num, den, step, rate * step, count))
+            span += count * step
+        else:
+            raw.append((nxt, num, den))
+            span = nxt
+    assert limit is not None
+    return (AnalysisStatus.DEADLINE_MISS, span, None, tuple(raw), None), None, greedy_intervals
+
+
+def test_running_sums_are_the_greedy():
+    # Random schedules of 1-8 intervals at m 1-8, some vectors giving the
+    # analyzed core a budget of 1, bounded and unbounded tails, mu a 0-100%
+    # share of the demand, with and without a deadline: the loop's record
+    # and breakdown are the greedy's at every iterate.
+    rng = random.Random(4343)
+    seen = {"greedy": 0, "greedy in two intervals": 0, "deadline miss": 0, "exhausted": 0, "converged": 0}
+    for _ in range(2000):
+        m = rng.randint(1, 8)
+        total = rng.randint(2 * m, 120)
+        n = rng.randint(1, 8)
+        core = rng.randint(1, m)
+        intervals = []
+        for j in range(n):
+            budgets = list(_random_composition(rng, total, m)) if m > 1 else [total]
+            if m > 1 and rng.random() < 0.4 and budgets[core - 1] > 1:
+                other = core % m
+                budgets[other] += budgets[core - 1] - 1
+                budgets[core - 1] = 1
+            length = None if j == n - 1 and rng.random() < 0.6 else rng.randint(1, 12)
+            intervals.append(BudgetInterval(budgets=BudgetVector(tuple(budgets)), length=length))
+        schedule = MemorySchedule(intervals=tuple(intervals))
+        bounded = sum(iv.length or 12 for iv in intervals)
+        demand = rng.randint(1, bounded * total)
+        memory = demand * rng.randint(0, 100) // 100
+        execution = max(1, demand - memory)
+        limit = rng.choice((None, rng.randint(1, bounded + 8)))
+        result = dynamic_analysis._dynamic_span(schedule, core, execution, memory, limit)
+        record, rows, greedy_intervals = _greedy_kernel(schedule, core, execution, memory, limit)
+        assert (result.status, result.span, result.length_slots, result.raw, result.shortfall) == record
+        if rows is None:
+            assert result.breakdown is None
+        else:
+            assert [(b.interval, b.span, b.memory, b.stall) for b in result.breakdown] == rows
+            assert sum(b.stall for b in result.breakdown) == result.total_stall
+        seen["greedy"] += bool(greedy_intervals)
+        seen["greedy in two intervals"] += len(greedy_intervals) > 1
+        seen[result.status.value.replace("-", " ").replace("schedule ", "")] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 @st.composite
@@ -978,15 +1092,11 @@ def test_long_schedule_is_pinned():
 
 def test_curves_are_built_only_for_reached_intervals(monkeypatch):
     # The span converges at 7 periods, inside the first two intervals, so
-    # the last three are never reached: no curve is built for them, and
-    # their breakdown rows are W = 0, mu = 0, S = 0.
-    built = []
-
-    def counting(budgets, core):
-        built.append(budgets)
-        return curve_for_core(budgets, core)
-
-    monkeypatch.setattr(dynamic_analysis, "curve_for_core", counting)
+    # the last three are never reached: the loop reads no pieces for them,
+    # the breakdown builds no curve for them, and their breakdown rows are
+    # W = 0, mu = 0, S = 0.
+    reads = _count_calls(monkeypatch, dynamic_analysis, "_core_pieces")
+    built = _count_calls(monkeypatch, dynamic_analysis, "curve_for_core")
     schedule = MemorySchedule(
         intervals=(
             BudgetInterval(budgets=VECTORS[0], length=5),
@@ -998,10 +1108,12 @@ def test_curves_are_built_only_for_reached_intervals(monkeypatch):
     )
     result = analyze_dynamic(Workload(execution=15, memory=25), schedule, 3, CFG16)
     assert (result.status, result.span, result.total_stall) == (AnalysisStatus.CONVERGED, 7, 61)
-    assert built == [VECTORS[0], VECTORS[1]]
+    assert reads == [(VECTORS[0], 3), (VECTORS[1], 3)]
+    assert built == []
     assert [(b.span, b.memory, b.stall) for b in result.breakdown] == [
         (5, 19, 45), (2, 6, 16), (0, 0, 0), (0, 0, 0), (0, 0, 0)
     ]
+    assert built == [(VECTORS[0], 3), (VECTORS[1], 3)]
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,7 @@ class TestScenarioParsing:
             ([{"budgets": [16, None], "length": "unbounded"}], None, "scenario: schedule[0].budgets[1] must be an integer, got None"),
             ([{"budgets": [8, 0], "length": "unbounded"}], None, "scenario: budget vector: every budget must be an integer >= 1, got q_2 = 0"),
             ([{"budgets": [], "length": "unbounded"}], None, "scenario: budget vector: at least one core required"),
+            ([{"budgets": 16, "length": "unbounded"}], None, "scenario: schedule[0].budgets must be an array"),
         ],
     )
     def test_rejection_messages(self, schedule, workloads, message):

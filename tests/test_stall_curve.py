@@ -196,13 +196,17 @@ def test_core_pieces_are_the_curve_segments(vo):
 
 
 def test_core_pieces_are_checked():
-    # F's pieces are checked on the first read: a table whose second vertex
-    # is forged below the chord has a piece steeper than the one before it.
+    # F's pieces are checked as they are first read: a table whose second
+    # vertex is forged below the chord has a piece steeper than the one
+    # before it. Core 4 (q = 7) reads F's first two pieces, so it meets the
+    # forged one; core 3 (q = 5) hulls the forged vertex away and reads none.
     table = stall_curve._CurveTable(VEC.budgets)
     assert (table.xs, table.ys) == ([0, 2, 5, 7], [0, 6, 9, 9])
     table.ys[1] = 2
+    assert table.pieces_for(3) == (stall_curve._piece(16, 0, 0, 11, 5, None),)
+    assert table.shared == []
     with pytest.raises(InvariantError, match="not strictly flatter"):
-        table.pieces_for(3)
+        table.pieces_for(4)
     # Each core's end piece goes through the same check against the piece
     # before it: an equal slope or an empty piece fails.
     before = stall_curve._piece(16, 0, 0, 6, 2, None)

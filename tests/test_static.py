@@ -139,20 +139,27 @@ def test_trace_is_self_consistent(inst):
 
 
 def test_saturated_climb_evaluates_the_curve_once_per_stride(monkeypatch):
-    # mu >= W * q up to W = 8000: that climb is one run with no greedy call,
-    # and the one greedy call finds the fixed point at 8001.
-    calls = []
-    distribute = dynamic_analysis.distribute_memory
+    # mu >= W * q up to W = 8000: that climb is one run that reads no
+    # pieces, and the fixed point at 8001 reads the curve's pieces once and
+    # runs no greedy.
+    greedy, reads = [], []
+    distribute, core_pieces = dynamic_analysis.distribute_memory, dynamic_analysis._core_pieces
 
-    def counting_distribute(splits, memory, curves):
-        calls.append(sum(splits))
-        return distribute(splits, memory, curves)
+    def counting_distribute(*args):
+        greedy.append(args)
+        return distribute(*args)
+
+    def counting_pieces(*args):
+        reads.append(args)
+        return core_pieces(*args)
 
     monkeypatch.setattr(dynamic_analysis, "distribute_memory", counting_distribute)
+    monkeypatch.setattr(dynamic_analysis, "_core_pieces", counting_pieces)
     budgets = BudgetVector((1, 20000, 21665))
     result = analyze_static(Workload(execution=50, memory=8000), budgets, 1, config_for(budgets))
     assert (result.span, len(result.trace)) == (8001, 8002)
-    assert calls == [8001]
+    assert greedy == []
+    assert reads == [(budgets, 1)]
     assert len(result.raw) == 3
 
 
