@@ -57,7 +57,10 @@ exactly in integers: UUniFast telescopes on (numerator, denominator) pairs,
 H / slot is the integer H in slots, and rounding is one floor division, so
 generation builds no Fraction. MI and U only shape the draw: a partition
 keeps just its core and (E, mu), which is all a policy reads. The float
-bounds of the two MI ranges are taken once per set.
+bounds of the two MI ranges are taken once per set, and an MI draw is
+``random.uniform``'s own lo + (hi - lo) * random(), inlined. The draws are
+taken first, in the order below, and then one loop per core telescopes
+its UUniFast shares and computes each partition's demands.
 Draw order (one seeded generator per set): HIGH-mode sample, core
 permutation, per-core UUniFast in core order, per-partition MI in id order.
 """
@@ -84,9 +87,9 @@ POLICIES = ("SE", "SU", "DY")
 
 
 class Ratio(NamedTuple):
-    """An unreduced integer ratio numerator / denominator (a budget weight or
-    a UUniFast utilization), built without the gcd a :class:`Fraction`
-    takes; read like an int or a Fraction weight."""
+    """An unreduced integer ratio numerator / denominator (a budget weight),
+    built without the gcd a :class:`Fraction` takes; read like an int or a
+    Fraction weight."""
 
     numerator: int
     denominator: int
@@ -163,9 +166,11 @@ class ExperimentConfig:
                 raise InvariantError(f"experiment config: MIr and U must be int or Fraction, got {value!r}")
         if not 2 <= self.m <= self.q_total:
             raise InvariantError("experiment config: m must lie in [2, Q] (>= 1 transaction per core)")
-        if not 0 <= self.mir <= 1:
+        # An int's numerator is itself over 1, and a Fraction's denominator is
+        # positive: numerators compare without Fraction's rich comparison.
+        if not 0 <= self.mir.numerator <= self.mir.denominator:
             raise InvariantError("experiment config: MIr must lie in [0, 1]")
-        if self.u <= 0:
+        if self.u.numerator <= 0:
             raise InvariantError("experiment config: U must be > 0")
 
 
@@ -174,51 +179,63 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _uunifast(rng: random.Random, n: int, total: Fraction) -> list[Ratio]:
-    """n utilizations summing to ``total`` exactly, as unreduced (num, den).
-
-    Each draw r = p / d is a dyadic float, so the telescoping stays in
-    integers: from the remainder num / den, the utilization is
-    num * (d - p) / (den * d) and the next remainder num * p / (den * d).
-    """
-    utils: list[Ratio] = []
-    num, den = total.numerator, total.denominator
-    for i in range(n, 1, -1):
-        p, d = (rng.random() ** (1.0 / (i - 1))).as_integer_ratio()
-        den *= d
-        utils.append(Ratio(num * (d - p), den))
-        num *= p
-    utils.append(Ratio(num, den))
-    return utils
+# Partition's slot setters. Filling a drawn partition through them costs
+# half what the frozen __init__'s per-field object.__setattr__ does.
+_SET_ID, _SET_CORE, _SET_EXECUTION, _SET_MEMORY = (
+    getattr(Partition, name).__set__ for name in ("id", "core", "execution", "memory")
+)
 
 
 def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> PartitionSet:
-    """Draw one partition set; see the module docstring for the draw order."""
+    """Draw one partition set; see the module docstring for the draw order.
+
+    Each draw r = p / d is a dyadic float, so UUniFast telescopes in
+    integers: from the utilization left, num / den, a partition takes
+    num * (d - p) / (den * d) and leaves num * p / (den * d).
+    """
     ppc = config.partitions_per_core
     n = config.m * ppc
-    high_count = _round_half_up(config.mir.numerator * n, config.mir.denominator)
-    high_ids = set(rng.sample(range(n), high_count))
+    low = tuple(map(float, config.low_range))
+    ranges = [low] * n
+    high = tuple(map(float, config.high_range))
+    for pid in rng.sample(range(n), _round_half_up(config.mir.numerator * n, config.mir.denominator)):
+        ranges[pid] = high
     perm = list(range(n))
     rng.shuffle(perm)
-    core_of = {pid: pos // ppc + 1 for pos, pid in enumerate(perm)}
+    # The rest of the draws: UUniFast's, core by core, as (p, d), then MI by
+    # id, random.uniform(lo, hi) inlined as lo + (hi - lo) * random(). Of a
+    # core's partitions, the i-th from the end leaves random() ** (1 / i) of
+    # what is left to those after it; the last leaves 0 / 1 and draws nothing.
+    draw = rng.random
+    exponents = (*(1.0 / i for i in range(ppc - 1, 0, -1)), 0)
+    left = [(draw() ** e).as_integer_ratio() if e else (0, 1) for _ in range(config.m) for e in exponents]
+    mis = [lo + (hi - lo) * draw() for lo, hi in ranges]
 
-    util_of: dict[int, Ratio] = {}
+    # num / den starts at 2 * U * (H / slot): twice a demand rounds half up
+    # in one floor division.
+    u_num = 2 * config.hyperperiod_slots * config.u.numerator
+    u_den = config.u.denominator
+    new = object.__new__
+    partitions = [None] * n
     for pos in range(0, n, ppc):
-        for pid, u in zip(sorted(perm[pos : pos + ppc]), _uunifast(rng, ppc, config.u)):
-            util_of[pid] = u
-
-    high = tuple(map(float, config.high_range))
-    low = tuple(map(float, config.low_range))
-    slots = config.hyperperiod_slots
-    partitions = []
-    for pid in range(n):
-        mi_num, mi_den = rng.uniform(*(high if pid in high_ids else low)).as_integer_ratio()
-        util = util_of[pid]
-        # demand * MI = u * (H / slot) * MI, over the denominator u_den * mi_den.
-        scaled, den = util.numerator * slots, util.denominator * mi_den
-        execution = max(1, _round_half_up(scaled * (mi_den - mi_num), den))
-        memory = _round_half_up(scaled * mi_num, den)
-        partitions.append(Partition(pid, core_of[pid], execution, memory))
+        core = pos // ppc + 1
+        num, den = u_num, u_den
+        for pid, (p, d) in zip(sorted(perm[pos : pos + ppc]), left[pos : pos + ppc]):
+            den *= d
+            util = num * (d - p)
+            num *= p
+            # util / den is 2 * u * (H / slot), so with MI = mi_num / mi_den,
+            # demand * MI rounds half up to (util * mi_num + half) // whole.
+            mi_num, mi_den = mis[pid].as_integer_ratio()
+            half = den * mi_den
+            whole = 2 * half
+            execution = (util * (mi_den - mi_num) + half) // whole
+            part = new(Partition)
+            _SET_ID(part, pid)
+            _SET_CORE(part, core)
+            _SET_EXECUTION(part, execution if execution > 1 else 1)
+            _SET_MEMORY(part, (util * mi_num + half) // whole)
+            partitions[pid] = part
     return PartitionSet(partitions=tuple(partitions))
 
 

@@ -246,16 +246,18 @@ def parse_scenario(text: str) -> Scenario:
             raw_budgets = entry["budgets"]
             if not isinstance(raw_budgets, list):
                 raise ScenarioError(f"scenario: schedule[{pos}].budgets must be an array")
-            # JSON integers are exact ints: a budget's label is formatted only if it is rejected.
+            # JSON integers are exact ints: here and below, a label is
+            # formatted only for a value that is not one, to check it.
             for i, b in enumerate(raw_budgets):
                 if type(b) is not int:
                     _as_int(b, f"schedule[{pos}].budgets[{i}]")
             budgets = BudgetVector(tuple(raw_budgets))
             length = entry["length"]
             if length == "unbounded":
-                intervals.append(BudgetInterval(budgets=budgets, length=None))
-            else:
-                intervals.append(BudgetInterval(budgets=budgets, length=_as_int(length, f"schedule[{pos}].length")))
+                length = None
+            elif type(length) is not int:
+                length = _as_int(length, f"schedule[{pos}].length")
+            intervals.append(BudgetInterval(budgets=budgets, length=length))
         schedule = MemorySchedule(intervals=tuple(intervals))
 
         if not isinstance(doc["workloads"], list) or not doc["workloads"]:
@@ -264,14 +266,21 @@ def parse_scenario(text: str) -> Scenario:
         for pos, entry in enumerate(doc["workloads"]):
             if not isinstance(entry, dict) or not {"core", "E", "mu"} <= set(entry):
                 raise ScenarioError(f"scenario: workloads[{pos}] must have core, E and mu")
-            core = _as_int(entry["core"], f"workloads[{pos}].core")
+            core = entry["core"]
+            if type(core) is not int:
+                core = _as_int(core, f"workloads[{pos}].core")
             if not 1 <= core <= schedule.m:
                 raise ScenarioError(f"scenario: workloads[{pos}].core {core} outside [1..{schedule.m}]")
             if core in workloads:
                 raise ScenarioError(f"scenario: workloads[{pos}]: duplicate core {core}")
+            execution, memory = entry["E"], entry["mu"]
+            if type(execution) is not int:
+                execution = _as_int(execution, f"workloads[{pos}].E")
+            if type(memory) is not int:
+                memory = _as_int(memory, f"workloads[{pos}].mu")
             workloads[core] = Workload(
-                execution=_as_int(entry["E"], f"workloads[{pos}].E"),
-                memory=_as_int(entry["mu"], f"workloads[{pos}].mu"),
+                execution=execution,
+                memory=memory,
                 deadline=_as_fraction(entry["D"], f"workloads[{pos}].D") if "D" in entry else None,
             )
     except InvariantError as exc:

@@ -80,6 +80,19 @@ def _drawn(seed: int = 42, config: ExperimentConfig = CFG) -> dict[int, tuple[Fr
     return {pid: (Fraction(rng.uniform(*(high_range if pid in high else low_range))), util[pid]) for pid in range(n)}
 
 
+def _assert_replayed(pset: PartitionSet, seed: int, config: ExperimentConfig) -> None:
+    """Each partition's (E, mu) is its replayed demand rounded half up, E at
+    least 1, and each core's replayed utilizations sum to U."""
+    drawn = _drawn(seed, config)
+    for p in pset.partitions:
+        mi, util = drawn[p.id]
+        demand = util * config.hyperperiod / config.slot
+        assert p.execution == max(1, int(demand * (1 - mi) + Fraction(1, 2)))
+        assert p.memory == int(demand * mi + Fraction(1, 2))
+    for core in range(1, config.m + 1):
+        assert sum(drawn[p.id][1] for p in pset.by_core(core)) == config.u
+
+
 @pytest.fixture(scope="module")
 def edge_sets():
     """60 seeded sets at each edge point: m 2/16 x MIr 0/1 x U 1/100, 1, 3/2,
@@ -118,11 +131,14 @@ class TestExperimentConfig:
         for mir, u in ((0.25, half), (half, 0.5), (True, half), (half, True)):
             with pytest.raises(InvariantError):
                 ExperimentConfig(m=4, mir=mir, u=u)
-        # An int is exact and draws the same set as the equal Fraction.
+        # An int is exact and draws the same set as the equal Fraction; the
+        # range's ends are accepted as ints and as Fractions.
         for mir, u in ((0, 1), (1, 2)):
             as_int = ExperimentConfig(m=4, mir=mir, u=u)
             as_fraction = ExperimentConfig(m=4, mir=Fraction(mir), u=Fraction(u))
             assert generate_partition_set(as_int, random.Random(5)) == generate_partition_set(as_fraction, random.Random(5))
+        for mir in (0, 1, Fraction(0), Fraction(1)):
+            assert ExperimentConfig(m=4, mir=mir, u=Fraction(1, 2)).mir == mir
 
     def test_m_must_be_an_int(self):
         # A float or bool m passes the range check, and a float m would
@@ -137,8 +153,15 @@ class TestExperimentConfig:
     [
         pytest.param(Fraction(-1, 4), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-below-0"),
         pytest.param(Fraction(5, 4), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-above-1"),
+        pytest.param(Fraction(-1, 100), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-just-below-0"),
+        pytest.param(Fraction(101, 100), Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-just-above-1"),
+        pytest.param(-1, Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-int-below-0"),
+        pytest.param(2, Fraction(1, 2), r"MIr must lie in \[0, 1\]", id="mir-int-above-1"),
         pytest.param(Fraction(1, 4), 0, "U must be > 0", id="u-zero"),
         pytest.param(Fraction(1, 4), Fraction(-1, 2), "U must be > 0", id="u-negative"),
+        pytest.param(Fraction(1, 4), Fraction(-1, 100), "U must be > 0", id="u-just-below-0"),
+        pytest.param(Fraction(1, 4), Fraction(0), "U must be > 0", id="u-fraction-zero"),
+        pytest.param(Fraction(1, 4), -1, "U must be > 0", id="u-int-negative"),
     ],
 )
 def test_experiment_config_rejects_out_of_range_points(mir, u, message):
@@ -208,6 +231,28 @@ class TestGeneration:
                 digest.update(f"{p.id},{p.core},{mi},{util},{p.execution},{p.memory};".encode())
         assert digest.hexdigest() == "41fccb6c8e4109ae8589862088cde89caee8eeabbd951094f9e8fe14935cb442"
 
+    def test_interior_digest_is_pinned(self):
+        # One seeded set per interior point the benchmark draws from (m
+        # 4/8/12 x MIr 0.15/0.25/0.50 x U 0.10-0.90 step 0.01, 729 sets):
+        # a change to generation may not move any partition. Every ninth
+        # set is also checked against the Fraction replay of its draws.
+        digest = hashlib.sha256()
+        mirs = (Fraction(15, 100), Fraction(1, 4), Fraction(1, 2))
+        us = tuple(Fraction(10 + k, 100) for k in range(81))
+        replayed = 0
+        for i, (m, mir, u) in enumerate(itertools.product((4, 8, 12), mirs, us)):
+            cfg = ExperimentConfig(m=m, mir=mir, u=u)
+            seed = _derive_seed(1, m, mir, u, 0)
+            pset = generate_partition_set(cfg, random.Random(seed))
+            for p in pset.partitions:
+                digest.update(f"{p.id},{p.core},{p.execution},{p.memory};".encode())
+            if i % 9 == 0:
+                _assert_replayed(pset, seed, cfg)
+                replayed += 1
+            digest.update(b"|")
+        assert replayed == 81
+        assert digest.hexdigest() == "2bbe50ceb18a252cbd3b49eb0e49fd5eddbfebf920f5bf9b4701af2dd711bf43"
+
     def test_generation_builds_no_fraction(self, monkeypatch):
         # Generation computes E and mu in integers and keeps no MI or U, so
         # drawing a set constructs no Fraction through the module's name.
@@ -224,9 +269,16 @@ class TestGeneration:
         assert built == []
 
     def test_partitions_carry_no_instance_dict(self):
+        # Generation fills each partition's slots directly, not through the
+        # dataclass __init__: the record must stay slotted and frozen.
         pset = _set()
         assert not hasattr(pset, "__dict__")
         assert not any(hasattr(p, "__dict__") for p in pset.partitions)
+        for p in pset.partitions[:3]:
+            for name in ("id", "core", "execution", "memory"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(p, name, 0)
+        assert pset.partitions[0] == Partition(*dataclasses.astuple(pset.partitions[0]))
 
     def test_by_core_groups_once_in_id_order(self):
         pset = _set(11)
@@ -630,6 +682,18 @@ def test_dy_completions_bound_the_simulated_worst_case():
 def test_every_policy_bounds_the_simulated_worst_case_on_a_drawn_seed(seed, mir, u):
     cfg = TinyConfig(m=3, mir=mir, u=Fraction(u, 10))
     _bound_the_simulation(generate_partition_set(cfg, random.Random(seed)), cfg)
+
+
+def test_tiny_model_draws_the_replayed_sets():
+    # Generation reads the model from the config it is given: with 2
+    # partitions per core, each core's UUniFast still sums to U, and every
+    # (E, mu) is the Fraction replay's, so the simulation tests above check
+    # UUniFast sets.
+    for index in range(60):
+        cfg = TinyConfig(m=2 + index % 3, mir=(Fraction(0), Fraction(1, 2), Fraction(1))[index // 3 % 3], u=Fraction(3 + index % 7, 10))
+        pset = generate_partition_set(cfg, random.Random(index))
+        assert [len(pset.by_core(core)) for core in range(1, cfg.m + 1)] == [2] * cfg.m
+        _assert_replayed(pset, index, cfg)
 
 
 class TestEvaluation:
