@@ -22,7 +22,14 @@ from .errors import (
     ScenarioError,
     ScheduleExhaustedError,
 )
-from .oracles import oracle_distribute, oracle_max_stall, worst_case_span_by_simulation
+from .oracles import (
+    RawStallPoints,
+    build_raw_points,
+    concave_envelope,
+    oracle_distribute,
+    oracle_max_stall,
+    worst_case_span_by_simulation,
+)
 from .schedule import (
     BudgetInterval,
     MemorySchedule,
@@ -35,15 +42,7 @@ from .schedule import (
     split_span,
 )
 from .static_analysis import analyze_static
-from .stall_curve import (
-    BudgetVector,
-    RawStallPoints,
-    Segment,
-    StallCurve,
-    build_raw_points,
-    concave_envelope,
-    curve_for_core,
-)
+from .stall_curve import BudgetVector, Segment, StallCurve, curve_for_core
 
 __version__ = "0.1.0"
 

@@ -21,10 +21,10 @@ from fractions import Fraction
 from .dynamic_analysis import analyze_dynamic
 from .errors import MembwError
 from .ima import preset_sweep, rows_to_csv, run_sweep
-from .oracles import ENUMERATION_GUARD, _check_assignment_space, oracle_distribute
+from .oracles import ENUMERATION_GUARD, _check_assignment_space, build_raw_points, oracle_distribute
 from .schedule import Scenario, load_scenario
 from .static_analysis import analyze_static
-from .stall_curve import build_raw_points, curve_for_core
+from .stall_curve import curve_for_core
 
 
 @functools.cache

@@ -62,7 +62,7 @@ from operator import mul
 
 from .errors import InvariantError
 from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, _by_slope, _core_pieces, curve_for_core
+from .stall_curve import StallCurve, _core_pieces, curve_for_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,9 +105,10 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     plus rise * left / width for the piece the memory runs out in.
 
     Each interval's slopes strictly decrease, so filling the reached
-    intervals' segments in one exact slope order, :func:`_by_slope` tagged
-    by the index j, fills them in the order a scan for the steepest head
-    would: O(S log S) for S segments in the reached intervals.
+    intervals' segments sorted by (-slope, j), with the slope an exact
+    :class:`Fraction`, fills them in the order a scan for the steepest head
+    would: O(S log S) for S segments in the reached intervals. The
+    analyzers run it only when a result's breakdown is read.
 
     ``curves`` covers the reached prefix: it may stop after the last nonzero
     split. A nonzero split without a curve, or more curves than splits,
@@ -125,7 +126,10 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     assign = [0] * n
     left, num = memory, 0
     # An interval the span does not reach has no piece to fill.
-    for _, j, rise, width in _by_slope([(j, curves[j]) for j, w in enumerate(splits) if w]):
+    reached = [
+        (-Fraction(rise, width), j, rise, width) for j, w in enumerate(splits) if w for _, _, rise, width in curves[j].segments
+    ]
+    for _, j, rise, width in sorted(reached):
         if not left:
             break
         w = splits[j]

@@ -5,16 +5,89 @@ instances. Deliberate asymmetry: the oracles charge the raw per-period stall
 values I(k), while the analyzers work with the concave envelope. The
 analyzers' results must dominate (bound) the oracles' exact optima; tests
 exercise precisely that relationship.
+
+The reference curve comes from all q + 1 raw points:
+:func:`build_raw_points` evaluates I(0..q) for one core, and
+:func:`concave_envelope` builds their upper convex hull as a
+:class:`membw.stall_curve.StallCurve`. :func:`membw.stall_curve.curve_for_core`
+builds the same curve from O(m) vertices, and ``dump-curve`` prints the raw
+points next to it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .dynamic_analysis import _check_reached_prefix
 from .errors import InvariantError, OracleTooLargeError
 from .schedule import MemorySchedule, Workload
-from .stall_curve import RawStallPoints, build_raw_points, concave_envelope
+from .stall_curve import BudgetVector, Segment, StallCurve
+
+
+@dataclass(frozen=True)
+class RawStallPoints:
+    """The raw worst-case stall values I(0..q) for one core, in slots."""
+
+    core: int
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.values) < 2:
+            raise InvariantError("raw stall points: need q + 1 >= 2 points")
+        if self.values[0] != 0:
+            raise InvariantError("raw stall points: I(0) must be 0")
+        for k in range(1, len(self.values)):
+            if self.values[k] < self.values[k - 1]:
+                raise InvariantError(f"raw stall points: values must be non-decreasing, I({k}) < I({k - 1})")
+
+    @property
+    def q(self) -> int:
+        return len(self.values) - 1
+
+
+def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
+    """Evaluate the raw stall values I(0..q) for ``core`` under ``budgets``, in O(q log m)."""
+    q = budgets.budget_of(core)
+    others = sorted(budgets.budgets[: core - 1] + budgets.budgets[core:])
+    # For k < q, I(k) - I(k - 1) is the number of other budgets >= k.
+    values = list(accumulate((len(others) - bisect_left(others, k) for k in range(1, q)), initial=0))
+    values.append(budgets.total - q)
+    return RawStallPoints(core=core, values=tuple(values))
+
+
+def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Upper convex hull of points with strictly increasing x (monotone chain).
+
+    Collinear interior points are dropped, so consecutive hull slopes are
+    strictly decreasing.
+    """
+    hull: list[tuple[int, int]] = []
+    for p in points:
+        while len(hull) >= 2:
+            ox, oy = hull[-2]
+            ax, ay = hull[-1]
+            # cross((a - o), (p - o)) >= 0 means the middle point a is on or
+            # below the chord o->p, so it is not an upper-hull vertex.
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def concave_envelope(raw: RawStallPoints) -> StallCurve:
+    """Tightest concave piecewise-linear majorant of the raw stall points."""
+    vertices = _upper_hull(list(enumerate(raw.values)))
+    segments = tuple(
+        Segment(start=x0, value=y0, rise=y1 - y0, width=x1 - x0)
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
+    )
+    return StallCurve(core=raw.core, q=raw.q, segments=segments)
+
 
 ENUMERATION_GUARD = 10**7
 

@@ -173,9 +173,11 @@ def _as_fraction(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"scenario: {what} must be an integer, got {value!r}")
+def _as_int(value, what: str, *where) -> int:
+    """``value`` if it is an int, not a bool. ``what`` names the field, with
+    ``where`` formatted into it only for a value that fails."""
+    if type(value) is not int:
+        raise ScenarioError(f"scenario: {what.format(*where)} must be an integer, got {value!r}")
     return value
 
 
@@ -246,17 +248,17 @@ def parse_scenario(text: str) -> Scenario:
             raw_budgets = entry["budgets"]
             if not isinstance(raw_budgets, list):
                 raise ScenarioError(f"scenario: schedule[{pos}].budgets must be an array")
-            # JSON integers are exact ints: here and below, a label is
-            # formatted only for a value that is not one, to check it.
+            # The int test is inline, not an _as_int call per budget:
+            # budgets are most of a file's integers.
             for i, b in enumerate(raw_budgets):
                 if type(b) is not int:
-                    _as_int(b, f"schedule[{pos}].budgets[{i}]")
+                    _as_int(b, "schedule[{}].budgets[{}]", pos, i)
             budgets = BudgetVector(tuple(raw_budgets))
             length = entry["length"]
             if length == "unbounded":
                 length = None
-            elif type(length) is not int:
-                length = _as_int(length, f"schedule[{pos}].length")
+            else:
+                _as_int(length, "schedule[{}].length", pos)
             intervals.append(BudgetInterval(budgets=budgets, length=length))
         schedule = MemorySchedule(intervals=tuple(intervals))
 
@@ -266,21 +268,14 @@ def parse_scenario(text: str) -> Scenario:
         for pos, entry in enumerate(doc["workloads"]):
             if not isinstance(entry, dict) or not {"core", "E", "mu"} <= set(entry):
                 raise ScenarioError(f"scenario: workloads[{pos}] must have core, E and mu")
-            core = entry["core"]
-            if type(core) is not int:
-                core = _as_int(core, f"workloads[{pos}].core")
+            core = _as_int(entry["core"], "workloads[{}].core", pos)
             if not 1 <= core <= schedule.m:
                 raise ScenarioError(f"scenario: workloads[{pos}].core {core} outside [1..{schedule.m}]")
             if core in workloads:
                 raise ScenarioError(f"scenario: workloads[{pos}]: duplicate core {core}")
-            execution, memory = entry["E"], entry["mu"]
-            if type(execution) is not int:
-                execution = _as_int(execution, f"workloads[{pos}].E")
-            if type(memory) is not int:
-                memory = _as_int(memory, f"workloads[{pos}].mu")
             workloads[core] = Workload(
-                execution=execution,
-                memory=memory,
+                execution=_as_int(entry["E"], "workloads[{}].E", pos),
+                memory=_as_int(entry["mu"], "workloads[{}].mu", pos),
                 deadline=_as_fraction(entry["D"], f"workloads[{pos}].D") if "D" in entry else None,
             )
     except InvariantError as exc:

@@ -12,11 +12,12 @@ per-period stall, in transaction slots, is
 
 The analyzers need a concave majorant of these q_i + 1 points, because a
 concave curve lets the worst case over a whole span be bounded by evaluating
-at the mean per-period rate. :func:`concave_envelope` builds the upper convex
-hull of the raw points; :class:`StallCurve` stores it as a segment table of
-integer rises over integer widths and evaluates it exactly.
+at the mean per-period rate. :class:`StallCurve` stores the upper convex
+hull of the raw points as a segment table of integer rises over integer
+widths and evaluates it exactly. The brute-force hull of all q_i + 1 points
+is in :mod:`membw.oracles`.
 
-Budgets run to tens of thousands, so :func:`curve_for_core` hulls O(m)
+Budgets run to tens of thousands, so a vector's curve table hulls O(m)
 vertices instead of the q + 1 raw points, from one pass per vector. Let
 
     F(x) = sum over all cores j of min(x, q_j) - x.
@@ -34,21 +35,20 @@ other budgets >= q_i, and the one-step chord from it to (q_i, Q - q_i)
 rises by the sum of (q_j - q_i + 1) over those budgets, at least s, so it
 lies on or below the chord from the vertex before it. So core i's curve is
 F's vertices below q_i, then (q_i, Q - q_i), hulled by popping from the
-end. A vector's F takes one sort; each core's curve then costs O(m) at
-most, and is built only when asked for.
+end.
 
-The closed forms of :mod:`membw.static_analysis` and the fixed-point loop of
-:mod:`membw.dynamic_analysis` read no :class:`StallCurve`:
-:func:`_core_pieces` gives a core's segments as pieces (coeff, key, rise,
-width), with the coefficient and the exact slope key they need. A core's
-pieces are F's first pieces, up to its last hull vertex below q_i, shared
-by the vector's cores, and one end piece to (q_i, Q - q_i), checked against
-the piece before it. The table builds F's pieces only as far as a request
-reads them, each once, and checks that each has a width >= 1 and a slope
-strictly below the one before; a core that reads further extends them. So
-a vector read for one core, as the loop reads each interval of a CLI
-scenario, pays for that core's pieces only, not for all m. The hull pops
-are the curve builder's, so the pieces are the curve's segments.
+:meth:`_CurveTable.pieces_for` is the one builder of a core's segments. It
+pops that hull and gives the segments as pieces (coeff, key, rise, width):
+F's first pieces, up to the core's last hull vertex below q_i, shared by
+the vector's cores, and one end piece to (q_i, Q - q_i). A vector's F takes
+one sort; the table builds F's pieces only as far as a request reads them,
+each once, and checks that each, the end piece too, has a width >= 1 and a
+slope strictly below the one before; a core that reads further extends
+them. So a vector read for one core, as the loop reads each interval of a
+CLI scenario, pays for that core's pieces only, not for all m. The closed
+forms of :mod:`membw.static_analysis` and the fixed-point loop of
+:mod:`membw.dynamic_analysis` read the pieces (:func:`_core_pieces`), and
+:func:`curve_for_core` lays them end to end into a :class:`StallCurve`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import InvariantError
 
@@ -73,9 +72,9 @@ class BudgetVector:
     Single-entry vectors are accepted so degenerate no-interference curves
     can be built in tests.
 
-    :func:`curve_for_core` and :func:`_core_pieces` pin the vector's curve
-    table on the instance on its first call, so later calls on it skip the
-    cache lookup.
+    :func:`_core_pieces`, which :func:`curve_for_core` reads through, pins
+    the vector's curve table on the instance on its first call, so later
+    calls on it skip the cache lookup.
     """
 
     budgets: tuple[int, ...]
@@ -102,37 +101,6 @@ class BudgetVector:
 def _check_core(m: int, core: int) -> None:
     if not 1 <= core <= m:
         raise InvariantError(f"core index {core} outside [1..{m}]")
-
-
-@dataclass(frozen=True)
-class RawStallPoints:
-    """The raw worst-case stall values I(0..q) for one core, in slots."""
-
-    core: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise InvariantError("raw stall points: need q + 1 >= 2 points")
-        if self.values[0] != 0:
-            raise InvariantError("raw stall points: I(0) must be 0")
-        for k in range(1, len(self.values)):
-            if self.values[k] < self.values[k - 1]:
-                raise InvariantError(f"raw stall points: values must be non-decreasing, I({k}) < I({k - 1})")
-
-    @property
-    def q(self) -> int:
-        return len(self.values) - 1
-
-
-def build_raw_points(budgets: BudgetVector, core: int) -> RawStallPoints:
-    """Evaluate the raw stall values I(0..q) for ``core`` under ``budgets``, in O(q log m)."""
-    q = budgets.budget_of(core)
-    others = sorted(budgets.budgets[: core - 1] + budgets.budgets[core:])
-    # For k < q, I(k) - I(k - 1) is the number of other budgets >= k.
-    values = list(accumulate((len(others) - bisect_left(others, k) for k in range(1, q)), initial=0))
-    values.append(budgets.total - q)
-    return RawStallPoints(core=core, values=tuple(values))
 
 
 class Segment(namedtuple("_SegmentFields", "start value rise width")):
@@ -227,82 +195,35 @@ class StallCurve:
         }
 
 
-def _by_slope(tagged: list[tuple[int, StallCurve]]) -> list[tuple[int, int, int, int]]:
-    """Every segment of the ``(tag, curve)`` pairs as (key, tag, rise,
-    width), steepest first, equal slopes in increasing tag order.
-
-    The key is -floor(rise * K / width), with K = q_max^2 for the largest q
-    among the curves. It orders slopes exactly: a segment's width is at most
-    its curve's q <= q_max, so two distinct slopes a/w and b/v differ by at
-    least 1/(w * v) >= 1/K, their scaled values by at least 1, and so their
-    floors differ; equal slopes get equal keys and fall to the tag. One sort
-    of S segments costs O(S log S).
-    """
-    scale = max((curve.q for _, curve in tagged), default=0) ** 2
-    return sorted(
-        (-(rise * scale // width), tag, rise, width) for tag, curve in tagged for _, _, rise, width in curve.segments
-    )
-
-
-def _upper_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Upper convex hull of points with strictly increasing x (monotone chain).
-
-    Collinear interior points are dropped, so consecutive hull slopes are
-    strictly decreasing.
-    """
-    hull: list[tuple[int, int]] = []
-    for p in points:
-        while len(hull) >= 2:
-            ox, oy = hull[-2]
-            ax, ay = hull[-1]
-            # cross((a - o), (p - o)) >= 0 means the middle point a is on or
-            # below the chord o->p, so it is not an upper-hull vertex.
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def concave_envelope(raw: RawStallPoints) -> StallCurve:
-    """Tightest concave piecewise-linear majorant of the raw stall points."""
-    vertices = _upper_hull(list(enumerate(raw.values)))
-    segments = tuple(
-        Segment(start=x0, value=y0, rise=y1 - y0, width=x1 - x0)
-        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
-    )
-    return StallCurve(core=raw.core, q=raw.q, segments=segments)
-
-
 # A closed-form piece of a curve segment: (coeff, key, rise, width).
 Piece = tuple[int, int, int, int]
 
 
 def curve_for_core(budgets: BudgetVector, core: int) -> StallCurve:
-    """Stall curve for ``core`` without materializing all q + 1 raw points.
-
-    The curve comes from the vector's table (see the module docstring),
-    which the first call on a vector instance takes from
-    :func:`_cached_curve` and pins on the instance.
-    """
-    table = budgets._curves
-    if table is None:
-        table = _cached_curve(budgets)
-        object.__setattr__(budgets, "_curves", table)
-    return table[core]
+    """Stall curve for ``core`` without materializing all q + 1 raw points:
+    its checked pieces (:func:`_core_pieces`) laid end to end, each
+    segment starting where the one before it ends."""
+    start = value = 0
+    segments = []
+    for _, _, rise, width in _core_pieces(budgets, core):
+        segments.append(tuple.__new__(Segment, (start, value, rise, width)))
+        start += width
+        value += rise
+    return StallCurve(core=core, q=start, segments=tuple(segments))
 
 
 def _core_pieces(budgets: BudgetVector, core: int) -> tuple[Piece, ...]:
-    """The closed forms' and the fixed-point loop's view of ``core``'s
-    curve: its segments as pieces (coeff, key, rise, width), steepest first,
-    from the vector's table.
+    """``core``'s curve segments as pieces (coeff, key, rise, width),
+    steepest first, from the vector's table, which the first call on a
+    vector instance takes from :func:`_cached_curve` and pins on it.
 
     A segment (start, value, rise, width) of the curve under Q = the
     vector's total has ``coeff`` = (Q - value) * width + rise * start and
-    ``key`` = -floor(rise * Q^2 / width), which orders the slopes of every
-    vector summing to Q exactly, as in :func:`_by_slope`: every width is at
-    most Q. No :class:`StallCurve` is built.
+    ``key`` = -floor(rise * Q^2 / width). The key orders the slopes of every
+    vector summing to Q exactly: every width is at most Q, so two distinct
+    slopes a/w and b/v differ by at least 1/(w * v) >= 1/Q^2, their scaled
+    values by at least 1, and so their floors differ; equal slopes get
+    equal keys.
     """
     table = budgets._curves
     if table is None:
@@ -312,8 +233,8 @@ def _core_pieces(budgets: BudgetVector, core: int) -> tuple[Piece, ...]:
     return table.pieces_for(core) if pieces is None else pieces
 
 
-class _CurveTable(dict):
-    """One vector's stall curves by core, each built on its first request.
+class _CurveTable:
+    """One vector's F and the pieces read from it so far.
 
     ``xs`` and ``ys`` list F's vertices (see the module docstring): x = 0,
     then each distinct budget in increasing order. ``shared`` holds F's
@@ -343,16 +264,20 @@ class _CurveTable(dict):
 
     def __reduce__(self) -> tuple:
         # A pickled vector carries only its budgets; the copy's table builds
-        # its curves again on request.
+        # its pieces again on request.
         return _CurveTable, (self.budgets,)
 
-    def _hull_end(self, core: int) -> tuple[int, int, int]:
-        """(n, q, Q - q) for ``core``: its curve is F's first n vertices,
-        then (q, Q - q)."""
+    def pieces_for(self, core: int) -> tuple[Piece, ...]:
+        """Build, check and keep ``core``'s pieces (see :func:`_core_pieces`).
+
+        The curve is F's first n vertices, then (q, Q - q). F's pieces are
+        built and checked only as far as this core reads them, its first
+        n - 1; a later core that reads further extends them.
+        """
         _check_core(len(self.budgets), core)
+        xs, ys, q_total, shared = self.xs, self.ys, self.total, self.shared
         q = self.budgets[core - 1]
-        top = self.total - q
-        xs, ys = self.xs, self.ys
+        top = q_total - q
         # F's vertices below q, then (q, Q - q): drop the last vertex while
         # it lies on or below the chord from its predecessor to (q, Q - q).
         n = bisect_left(xs, q)
@@ -361,27 +286,6 @@ class _CurveTable(dict):
             if (ax - ox) * (top - oy) - (ay - oy) * (q - ox) < 0:
                 break
             n -= 1
-        return n, q, top
-
-    def __missing__(self, core: int) -> StallCurve:
-        n, q, top = self._hull_end(core)
-        xs, ys = self.xs, self.ys
-        new = tuple.__new__
-        segments = [new(Segment, (x, y, y1 - y, x1 - x)) for x, y, x1, y1 in zip(xs, ys, xs[1:n], ys[1:n])]
-        x, y = xs[n - 1], ys[n - 1]
-        segments.append(new(Segment, (x, y, top - y, q - x)))
-        curve = self[core] = StallCurve(core=core, q=q, segments=tuple(segments))
-        return curve
-
-    def pieces_for(self, core: int) -> tuple[Piece, ...]:
-        """Build, check and keep ``core``'s pieces (see :func:`_core_pieces`).
-
-        F's pieces are built and checked only as far as this core reads
-        them, its first n - 1; a later core that reads further extends them.
-        """
-        xs, ys, q_total = self.xs, self.ys, self.total
-        shared = self.shared
-        n, q, top = self._hull_end(core)
         for k in range(len(shared), n - 1):
             x, y = xs[k], ys[k]
             shared.append(_piece(q_total, x, y, ys[k + 1] - y, xs[k + 1] - x, shared[-1] if shared else None))
@@ -403,8 +307,8 @@ def _piece(q_total: int, start: int, value: int, rise: int, width: int, before: 
 def _cached_curve(budgets: BudgetVector) -> _CurveTable:
     """The curve tables of recently used vectors, by value.
 
-    Each vector instance asks once (:func:`curve_for_core` and
-    :func:`_core_pieces` pin the table on it), so the cache serves equal vectors built anew: SE's even split for
+    Each vector instance asks once (:func:`_core_pieces` pins the table on
+    it), so the cache serves equal vectors built anew: SE's even split for
     every set, and a DY or SU vector that an earlier set or event already
     built. An m = 8 DY set touches 2.8 vectors on average and 12 at most,
     and the 1,245 vectors of a 480-set ``ima-dy`` pool are nearly all
