@@ -136,8 +136,10 @@ def _cmd_oracle(args) -> int:
     result = analyze_dynamic(workload, scenario.schedule, core, scenario.config)
     doc = {"command": "oracle", "core": core, "analysis": result.to_json_dict()}
     if result.converged:
-        # The converged analysis's own split W^j and greedy assignment mu^j.
-        # The span reaches a prefix of the intervals.
+        # The converged analysis's own periods W^j and assignment mu^j, which
+        # its breakdown sums from the loop's filled pieces: the brute force
+        # checks the loop's answer, not a second solver's. The span reaches
+        # a prefix of the intervals.
         rows = result.breakdown
         splits = tuple(row.span for row in rows)
         reached = scenario.schedule.intervals[: len(splits) - splits.count(0)]

@@ -20,9 +20,12 @@ The loop runs neither the split nor the greedy: it keeps the greedy's
 answer in running sums across iterates (see its docstring), reading each
 reached interval's pieces once, as :func:`membw.stall_curve._core_pieces`
 gives them. An interval the spans never reach costs nothing. The record
-keeps ``(schedule, core, mu)``, and its breakdown runs one split, the
-reached curves and one greedy at the converged span when first read; an
-unreached interval's row reads W = 0, mu = 0, S = 0.
+keeps the pieces the loop filled at the fixed point, and its breakdown sums
+them per interval when first read; an unreached interval's row reads W = 0,
+mu = 0, S = 0. So no analysis and no breakdown read runs
+:func:`membw.schedule.split_span`, :func:`membw.stall_curve.curve_for_core`,
+:func:`distribute_memory` or :func:`stall_breakdown`: they are the paper's
+greedy, kept public as the reference the tests check the loop against.
 
 Both public analyzers run this kernel:
 :func:`membw.static_analysis.analyze_static` on a schedule of one unbounded
@@ -61,8 +64,8 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import InvariantError
-from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods, split_span
-from .stall_curve import StallCurve, _core_pieces, curve_for_core
+from .schedule import MemorySchedule, RegulationConfig, Workload, deadline_periods
+from .stall_curve import StallCurve, _core_pieces
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +76,8 @@ class MemoryAssignment:
     is the width of the one curve segment the greedy filled in part, or 1
     when it filled whole segments only. ``saturated`` marks the degenerate
     outcome where every interval hit its capacity W^j * q^j before all of mu
-    was placed. A result's breakdown calls the greedy only at a converged
-    span, whose capacity exceeds mu, so its assignment is never saturated.
+    was placed. The analyzers build none: the greedy is the reference their
+    results are tested against.
     """
 
     per_interval: tuple[int, ...]
@@ -107,8 +110,9 @@ def distribute_memory(splits: tuple[int, ...], memory: int, curves: tuple[StallC
     Each interval's slopes strictly decrease, so filling the reached
     intervals' segments sorted by (-slope, j), with the slope an exact
     :class:`Fraction`, fills them in the order a scan for the steepest head
-    would: O(S log S) for S segments in the reached intervals. The
-    analyzers run it only when a result's breakdown is read.
+    would: O(S log S) for S segments in the reached intervals. No analysis
+    and no breakdown read runs it: :func:`_dynamic_span` keeps the same
+    assignment in its own filled pieces, and the tests check the two agree.
 
     ``curves`` covers the reached prefix: it may stop after the last nonzero
     split. A nonzero split without a curve, or more curves than splits,
@@ -222,17 +226,22 @@ class AnalysisResult:
     run of iterates as (span, stall numerator, stall denominator, span step,
     numerator step, count), whose iterate i, 0 <= i < count, has the span
     span + i * span step and the stall (numerator + i * numerator step) /
-    denominator. ``detail`` is what the breakdown needs, ``(schedule, core,
-    mu)``, on convergence, or None.
+    denominator. ``detail`` is what the breakdown needs, on convergence, or
+    None: ``(n, lengths, j, part, filled, short)``, that is the schedule's
+    interval count and bounded lengths, the index j of the interval holding
+    the span's last ``part`` periods, the loop's filled pieces as a heap
+    (see :func:`_dynamic_span`) and how many transactions the top one, the
+    last filled, holds less than its capacity.
 
     :meth:`iterates` expands ``raw`` lazily. ``trace`` and ``breakdown`` are
     built from ``raw`` and ``detail`` when first read and cached, so callers
-    that read only ``status`` and ``span`` pay for neither: the breakdown
-    runs :func:`split_span` at the converged span, builds the curves of the
-    reached prefix and runs :func:`distribute_memory` once, and the loop
-    itself builds no :class:`StallCurve` and runs no greedy. Equality,
-    hashing, ``repr`` and pickling come from the fields, that is from the
-    record, not from the built trace.
+    that read only ``status`` and ``span`` pay for neither. The breakdown
+    sums each interval's filled pieces (rise r, width w) over its periods
+    W^j (L^j before j, ``part`` in j, 0 after it): mu^j is the sum of
+    W^j * w and S^j the sum of W^j * r, less ``short`` and r * short / w in
+    the top piece's interval. There is no split, no :class:`StallCurve` and
+    no greedy. Equality, hashing, ``repr`` and pickling come from the
+    fields, that is from the record, not from the built trace.
     """
 
     status: AnalysisStatus
@@ -257,13 +266,19 @@ class AnalysisResult:
     def breakdown(self) -> tuple[IntervalBreakdown, ...] | None:
         if self.detail is None:
             return None
-        schedule, core, memory = self.detail
-        splits = split_span(schedule, self.span)
-        # The reached prefix: the intervals with a nonzero split.
-        curves = tuple(curve_for_core(iv.budgets, core) for iv, w in zip(schedule.intervals, splits) if w)
-        assignment = distribute_memory(splits, memory, curves)
-        rows = zip(splits, assignment.per_interval, stall_breakdown(splits, assignment, curves))
-        return tuple(IntervalBreakdown(j, w, mu, stall) for j, (w, mu, stall) in enumerate(rows, 1))
+        n, lengths, j, part, filled, short = self.detail
+        splits = (*lengths[:j], part, *[0] * (n - j - 1))
+        memory, stall = [0] * n, [0] * n
+        for _, back, rise, width in filled:
+            memory[-back] += splits[-back] * width
+            stall[-back] += splits[-back] * rise
+        if short:
+            # The greedy stops ``short`` transactions before the end of the
+            # last piece it fills, the heap's top.
+            _, back, rise, width = filled[0]
+            memory[-back] -= short
+            stall[-back] -= Fraction(rise * short, width)
+        return tuple(IntervalBreakdown(i, *row) for i, row in enumerate(zip(splits, memory, map(Fraction, stall)), 1))
 
     @property
     def converged(self) -> bool:
@@ -301,11 +316,11 @@ def _dynamic_span(
     The least fixed point of W = ceil((beta + S(W)) / Q), beta = E + mu and
     Q the budgets' total, with S(W) the split + greedy stall over a span of
     W periods: what :func:`distribute_memory` returns over the curves of the
-    reached prefix of :func:`split_span`, a numerator over a positive
-    denominator, both integers. Where mu covers the span's capacity, S(W)
-    comes from the schedule alone; elsewhere, from running sums that give
-    the greedy's own numerator and denominator with no split and no greedy
-    call (both below).
+    reached prefix of :func:`membw.schedule.split_span`, a numerator over a
+    positive denominator, both integers. Where mu covers the span's
+    capacity, S(W) comes from the schedule alone; elsewhere, from running
+    sums that give the greedy's own numerator and denominator with no split
+    and no greedy call (both below).
 
     The loop returns the least root: the least W >= W_(0) = ceil(beta / Q)
     with beta + S(W) <= Q * W. S(W) is the most stall mu transactions can
@@ -380,9 +395,13 @@ def _dynamic_span(
     greedy per iterate. Only the first span with caps > mu reads pieces,
     so a saturated climb reads none.
 
-    The record keeps ``(schedule, core, mu)`` at the fixed point, from which
-    the result builds its breakdown when it is read (see
-    :class:`AnalysisResult`), and its trace from ``raw``.
+    At the fixed point the heap holds exactly the pieces the greedy fills,
+    and a tied pair's higher interval on top, as the greedy fills the lower
+    one first; every piece is full but the top, which is cap - mu short. So
+    the record keeps the interval count, the bounded lengths, j, W^j, the
+    heap and cap - mu, from which the result sums its breakdown when it is
+    read (see :class:`AnalysisResult`), and its trace from ``raw``. With
+    mu = 0 the heap is empty.
 
     A span with caps <= mu is no fixed point: its next iterate is
     W + ceil((E + mu - caps) / Q) >= W + 1, as E >= 1. Where caps exceeds
@@ -481,7 +500,8 @@ def _dynamic_span(
             raise InvariantError("span iterates must be non-decreasing")
         if nxt == span:
             raw.append((nxt, num, den))
-            return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), (schedule, core, memory))
+            detail = (n, tuple(lengths), j, part, tuple(filled), cap - memory)
+            return AnalysisResult(AnalysisStatus.CONVERGED, span, span * q_total, tuple(raw), detail)
         if nxt <= last:
             # The stride holds the next iterate too: take the whole run of
             # iterates that keep this step (see the docstring).

@@ -381,6 +381,23 @@ class TestAnalyzeDynamic:
 EXHAUSTING = MemorySchedule(
     intervals=(BudgetInterval(budgets=VECTORS[0], length=5), BudgetInterval(budgets=VECTORS[1], length=1))
 )
+# The first vector twice: every piece of interval 1 ties in slope with one
+# of interval 2.
+SAME_TWICE = MemorySchedule(
+    intervals=(
+        BudgetInterval(budgets=VECTORS[0], length=2),
+        BudgetInterval(budgets=VECTORS[0], length=4),
+        BudgetInterval(budgets=VECTORS[2], length=None),
+    )
+)
+# Converged spans whose breakdowns take each shape of the loop's filled
+# pieces (see test_breakdown_is_the_greedy_at_the_fixed_point).
+BREAKDOWN_CASES = {
+    "no-memory": (THREE_INTERVALS, Workload(execution=15, memory=0)),
+    "exact-fill": (THREE_INTERVALS, Workload(execution=1, memory=28)),
+    "tied-partial-top": (SAME_TWICE, Workload(execution=1, memory=13)),
+    "unbounded-tail": (THREE_INTERVALS, Workload(execution=1, memory=46)),
+}
 
 
 @pytest.mark.parametrize(
@@ -389,6 +406,7 @@ EXHAUSTING = MemorySchedule(
         (THREE_INTERVALS, Workload(execution=15, memory=25), AnalysisStatus.CONVERGED),
         (THREE_INTERVALS, Workload(execution=15, memory=25, deadline=Fraction(96)), AnalysisStatus.DEADLINE_MISS),
         (EXHAUSTING, Workload(execution=15, memory=25), AnalysisStatus.SCHEDULE_EXHAUSTED),
+        *[(schedule, workload, AnalysisStatus.CONVERGED) for schedule, workload in BREAKDOWN_CASES.values()],
     ],
 )
 def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, status):
@@ -402,6 +420,7 @@ def test_result_round_trips_with_trace_and_breakdown_unread(schedule, workload, 
     assert copy.breakdown == result.breakdown
     assert copy.to_json_dict() == result.to_json_dict()
     assert copy == result
+    assert hash(copy) == hash(result)
     with pytest.raises(FrozenInstanceError):
         result.span = 0
 
@@ -442,26 +461,82 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_greedy_route(monkeypatch):
+    """Count the calls of the split, the curve build and the greedy with its
+    stall breakdown, each hooked where it is defined."""
+    return [
+        _count_calls(monkeypatch, module, name)
+        for module, name in (
+            (membw.schedule, "split_span"),
+            (membw.stall_curve, "curve_for_core"),
+            (dynamic_analysis, "distribute_memory"),
+            (dynamic_analysis, "stall_breakdown"),
+        )
+    ]
+
+
+def _greedy_rows(schedule, core, span, memory):
+    """The breakdown rows (interval, W, mu, S) that the split, the reached
+    curves and the greedy give at ``span``."""
+    splits = split_span(schedule, span)
+    curves = tuple(curve_for_core(iv.budgets, core) for iv, w in zip(schedule.intervals, splits) if w)
+    assignment = distribute_memory(splits, memory, curves)
+    stalls = stall_breakdown(splits, assignment, curves)
+    return list(zip(range(1, len(splits) + 1), splits, assignment.per_interval, stalls))
+
+
 def test_fixed_point_keeps_the_converged_detail(monkeypatch):
-    # The loop runs no split and no greedy. Reading the breakdown runs the
-    # split, the reached curves and the greedy once, at the converged span.
-    greedy = _count_calls(monkeypatch, dynamic_analysis, "distribute_memory")
-    splits_read = _count_calls(monkeypatch, dynamic_analysis, "split_span")
+    # Neither the loop nor the breakdown read runs a split, a curve build or
+    # the greedy: the record keeps the loop's own filled pieces, and the rows
+    # summed from them are the greedy's at the converged span.
+    route = _count_greedy_route(monkeypatch)
     result = analyze_dynamic(Workload(execution=15, memory=25), THREE_INTERVALS, 3, CFG16)
     assert (result.status, result.span) == (AnalysisStatus.CONVERGED, 7)
-    assert result.detail == (THREE_INTERVALS, 3, 25)
-    assert greedy == splits_read == []
+    # Three intervals, bounded lengths 5 and 3, and the span's last 2
+    # periods in interval 2 (index 1). The filled pieces (-key, -index,
+    # rise, width): both intervals' slope-3 pieces and interval 2's slope-2
+    # piece are full, and the top, interval 1's slope-5/3 piece of 15
+    # transactions, is 6 short.
+    n, lengths, j, part, filled, short = result.detail
+    assert (n, lengths, j, part, short) == (3, (5, 3), 1, 2, 6)
+    assert filled[0] == (426, 0, 5, 3)
+    assert sorted(filled) == [(426, 0, 5, 3), (512, -1, 2, 1), (768, -1, 6, 2), (768, 0, 6, 2)]
     rows = result.breakdown
-    splits = split_span(THREE_INTERVALS, 7)
-    assert splits_read == [(THREE_INTERVALS, 7)]
-    assert greedy == [(splits, 25, CURVES3[:2])]
-    assignment = distribute_memory(splits, 25, CURVES3[:2])
-    stalls = stall_breakdown(splits, assignment, CURVES3[:2])
-    assert [(b.interval, b.span, b.memory, b.stall) for b in rows] == list(
-        zip((1, 2, 3), splits, assignment.per_interval, stalls)
-    )
     assert result.breakdown is rows
-    assert len(greedy) == 1
+    assert route == [[], [], [], []]
+    assert [(b.interval, b.span, b.memory, b.stall) for b in rows] == _greedy_rows(THREE_INTERVALS, 3, 7, 25)
+
+
+@pytest.mark.parametrize(
+    ("case", "shape"),
+    [
+        # mu = 0: the loop fills no piece, so the heap is empty.
+        ("no-memory", (0, 1, 0, [])),
+        # The filled pieces hold mu exactly: the top is full.
+        ("exact-fill", (1, 1, 0, [(426, 0, 5, 3)])),
+        # The top, interval 2's slope-5/3 piece, is 2 short, and interval
+        # 1's piece of the same slope is full: the greedy fills the lower
+        # interval first.
+        ("tied-partial-top", (1, 1, 2, [(426, -1, 5, 3), (426, 0, 5, 3)])),
+        # Converged in the unbounded third interval, 4 short in interval 2's
+        # flat piece.
+        ("unbounded-tail", (2, 1, 4, [(0, -1, 0, 3)])),
+    ],
+    ids=list(BREAKDOWN_CASES),
+)
+def test_breakdown_is_the_greedy_at_the_fixed_point(monkeypatch, case, shape):
+    # Each case pins (j, part, short) and the filled pieces at the top's
+    # slope, so that it covers the shape it names.
+    schedule, workload = BREAKDOWN_CASES[case]
+    route = _count_greedy_route(monkeypatch)
+    result = analyze_dynamic(workload, schedule, 3, CFG16)
+    rows = [(b.interval, b.span, b.memory, b.stall) for b in result.breakdown]
+    assert route == [[], [], [], []]
+    _, _, j, part, filled, short = result.detail
+    assert (j, part, short, sorted(p for p in filled if p[0] == filled[0][0])) == shape
+    assert rows == _greedy_rows(schedule, 3, result.span, workload.memory)
+    assert sum(row[3] for row in rows) == result.total_stall
+    assert all(type(row[3]) is Fraction for row in rows)
 
 
 def test_the_record_lives_with_the_loop():
@@ -1093,10 +1168,10 @@ def test_long_schedule_is_pinned():
 def test_curves_are_built_only_for_reached_intervals(monkeypatch):
     # The span converges at 7 periods, inside the first two intervals, so
     # the last three are never reached: the loop reads no pieces for them,
-    # the breakdown builds no curve for them, and their breakdown rows are
-    # W = 0, mu = 0, S = 0.
+    # and their breakdown rows are W = 0, mu = 0, S = 0. Neither the loop
+    # nor the breakdown read builds a curve.
     reads = _count_calls(monkeypatch, dynamic_analysis, "_core_pieces")
-    built = _count_calls(monkeypatch, dynamic_analysis, "curve_for_core")
+    built = _count_calls(monkeypatch, membw.stall_curve, "curve_for_core")
     schedule = MemorySchedule(
         intervals=(
             BudgetInterval(budgets=VECTORS[0], length=5),
@@ -1113,7 +1188,8 @@ def test_curves_are_built_only_for_reached_intervals(monkeypatch):
     assert [(b.span, b.memory, b.stall) for b in result.breakdown] == [
         (5, 19, 45), (2, 6, 16), (0, 0, 0), (0, 0, 0), (0, 0, 0)
     ]
-    assert built == [(VECTORS[0], 3), (VECTORS[1], 3)]
+    assert reads == [(VECTORS[0], 3), (VECTORS[1], 3)]
+    assert built == []
 
 
 @pytest.mark.parametrize(
