@@ -56,11 +56,12 @@ rounding halves up. Every float drawn is dyadic, so both are computed
 exactly in integers: UUniFast telescopes on (numerator, denominator) pairs,
 H / slot is the integer H in slots, and rounding is one floor division, so
 generation builds no Fraction. MI and U only shape the draw: a partition
-keeps just its core and (E, mu), which is all a policy reads. The float
-bounds of the two MI ranges are taken once per set, and an MI draw is
+keeps just its id, its core and (E, mu), which is all a policy reads. The
+float bounds of the two MI ranges are taken once per set, and an MI draw is
 ``random.uniform``'s own lo + (hi - lo) * random(), inlined. The draws are
 taken first, in the order below, and then one loop per core telescopes
-its UUniFast shares and computes each partition's demands.
+its UUniFast shares and appends each partition's id, E and mu to the set's
+int columns, core by core, so generation builds no Partition record.
 Draw order (one seeded generator per set): HIGH-mode sample, core
 permutation, per-core UUniFast in core order, per-partition MI in id order.
 """
@@ -73,7 +74,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
 from typing import ClassVar, NamedTuple
@@ -99,8 +100,8 @@ class Ratio(NamedTuple):
 class Partition:
     """One IMA partition on its core: an (E, mu) workload with deadline H.
 
-    Generation draws its memory intensity and utilization only to compute
-    E and mu, and keeps neither.
+    A :class:`PartitionSet` keeps no records: ``partitions`` and ``by_core``
+    build these on each call.
     """
 
     id: int
@@ -114,23 +115,50 @@ class Partition:
 
 @dataclass(frozen=True, slots=True)
 class PartitionSet:
-    """Partitions in id order.
+    """A partition set as int columns in core-major order.
 
-    ``by_core`` groups them by core on its first call and keeps the groups,
-    so a set that no policy evaluates holds none.
+    ``ids``, ``execution`` and ``memory`` list core 1's partitions in id
+    order, then core 2's, and so on; core c's run is
+    ``bounds[c - 1]:bounds[c]``. The policies read the columns. Every field
+    is a tuple of ints, which the collector stops tracking after its first
+    pass, so a held set is one tracked object.
     """
 
-    partitions: tuple[Partition, ...]
-    _groups: dict[int, tuple[Partition, ...]] | None = field(default=None, init=False, repr=False, compare=False)
+    ids: tuple[int, ...]
+    execution: tuple[int, ...]
+    memory: tuple[int, ...]
+    bounds: tuple[int, ...]
+
+    @classmethod
+    def from_partitions(cls, records: Iterable[Partition]) -> PartitionSet:
+        """The set of ``records``, whose cores number from 1; a core below
+        the largest with no record has an empty run."""
+        ordered = sorted(records, key=lambda p: (p.core, p.id))
+        if ordered and ordered[0].core < 1:
+            raise InvariantError(f"partition {ordered[0].id}: cores number from 1, got {ordered[0].core}")
+        cores = [p.core for p in ordered]
+        return cls(
+            ids=tuple(p.id for p in ordered),
+            execution=tuple(p.execution for p in ordered),
+            memory=tuple(p.memory for p in ordered),
+            bounds=tuple(bisect_right(cores, core) for core in range(cores[-1] + 1 if cores else 1)),
+        )
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        """Every partition's record, in id order."""
+        records = [p for core in range(1, len(self.bounds)) for p in self.by_core(core)]
+        return tuple(sorted(records, key=lambda p: p.id))
 
     def by_core(self, core: int) -> tuple[Partition, ...]:
-        """The core's partitions in id order; empty for a core with none."""
-        if self._groups is None:
-            groups: dict[int, list[Partition]] = {}
-            for p in self.partitions:
-                groups.setdefault(p.core, []).append(p)
-            object.__setattr__(self, "_groups", {c: tuple(g) for c, g in groups.items()})
-        return self._groups.get(core, ())
+        """The core's partition records in id order; empty for a core with
+        none or out of range."""
+        if not 0 < core < len(self.bounds):
+            return ()
+        return tuple(
+            Partition(self.ids[i], core, self.execution[i], self.memory[i])
+            for i in range(self.bounds[core - 1], self.bounds[core])
+        )
 
 
 @dataclass(frozen=True)
@@ -179,13 +207,6 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-# Partition's slot setters. Filling a drawn partition through them costs
-# half what the frozen __init__'s per-field object.__setattr__ does.
-_SET_ID, _SET_CORE, _SET_EXECUTION, _SET_MEMORY = (
-    getattr(Partition, name).__set__ for name in ("id", "core", "execution", "memory")
-)
-
-
 def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> PartitionSet:
     """Draw one partition set; see the module docstring for the draw order.
 
@@ -215,10 +236,10 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
     # in one floor division.
     u_num = 2 * config.hyperperiod_slots * config.u.numerator
     u_den = config.u.denominator
-    new = object.__new__
-    partitions = [None] * n
+    ids: list[int] = []
+    execution: list[int] = []
+    memory: list[int] = []
     for pos in range(0, n, ppc):
-        core = pos // ppc + 1
         num, den = u_num, u_den
         for pid, (p, d) in zip(sorted(perm[pos : pos + ppc]), left[pos : pos + ppc]):
             den *= d
@@ -229,14 +250,11 @@ def generate_partition_set(config: ExperimentConfig, rng: random.Random) -> Part
             mi_num, mi_den = mis[pid].as_integer_ratio()
             half = den * mi_den
             whole = 2 * half
-            execution = (util * (mi_den - mi_num) + half) // whole
-            part = new(Partition)
-            _SET_ID(part, pid)
-            _SET_CORE(part, core)
-            _SET_EXECUTION(part, execution if execution > 1 else 1)
-            _SET_MEMORY(part, (util * mi_num + half) // whole)
-            partitions[pid] = part
-    return PartitionSet(partitions=tuple(partitions))
+            e = (util * (mi_den - mi_num) + half) // whole
+            ids.append(pid)
+            execution.append(e if e > 1 else 1)
+            memory.append((util * mi_num + half) // whole)
+    return PartitionSet(tuple(ids), tuple(execution), tuple(memory), tuple(range(0, n + 1, ppc)))
 
 
 def _largest_remainder(total: int, weights: Sequence[int | Fraction | Ratio]) -> list[int]:
@@ -282,13 +300,15 @@ def policy_se(config: ExperimentConfig) -> BudgetVector:
     return BudgetVector(tuple(base + (1 if i < rem else 0) for i in range(config.m)))
 
 
-def _demand_sums(m: int, partitions: Iterable[Partition]) -> tuple[list[int], list[int]]:
-    """Per core, sum mu and sum (mu + E) over ``partitions``."""
+def _demand_sums(m: int, pset: PartitionSet) -> tuple[list[int], list[int]]:
+    """Per core, sum mu and sum (mu + E) over the set's partitions."""
     memory = [0] * m
     demand = [0] * m
-    for p in partitions:
-        memory[p.core - 1] += p.memory
-        demand[p.core - 1] += p.memory + p.execution
+    bounds = pset.bounds
+    for core in range(1, len(bounds)):
+        lo, hi = bounds[core - 1], bounds[core]
+        mu = memory[core - 1] = sum(pset.memory[lo:hi])
+        demand[core - 1] = mu + sum(pset.execution[lo:hi])
     return memory, demand
 
 
@@ -299,7 +319,7 @@ def _memory_weights(memory: Sequence[int], demand: Sequence[int]) -> list[Ratio]
 
 def policy_su(pset: PartitionSet, config: ExperimentConfig) -> BudgetVector:
     """Weighted split from the memory pressure of the whole set at t = 0."""
-    return split_budget_by_weights(config.q_total, _memory_weights(*_demand_sums(config.m, pset.partitions)))
+    return split_budget_by_weights(config.q_total, _memory_weights(*_demand_sums(config.m, pset)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,18 +373,19 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     the unfinished partitions' remaining demands. Between events budgets are
     constant, so advancing event-to-event is exact.
 
-    The state is one queue per core (its unfinished partitions, the running
-    one last), the per-core unfinished sums of mu and mu + E that the
-    reclaim reads, each running partition's start period, the vector and
-    length of each interval between events, and the runs of equal vectors:
-    each run's start period and, once it has ended, its interval. A partition is hypothesized when it
-    starts, over the current vector alone, and again whenever the vector
-    changes, over one interval per run since its start (the first clipped
-    to the start) and then the new vector, unbounded. The cores to
-    hypothesize are kept on a to-do list. The earliest hypothesis is the
-    next event, and it matches the as-built schedule through the
-    completion. The returned schedule is built at the end: one interval per
-    event, unmerged, then the unbounded tail.
+    The state is one queue per core (the ``(id, E, mu)`` of its unfinished
+    partitions, read off the set's columns, the running one last), the
+    per-core unfinished sums of mu and mu + E that the reclaim reads, each
+    running partition's start period, the vector and length of each
+    interval between events, and the runs of equal vectors: each run's
+    start period and, once it has ended, its interval. A partition is
+    hypothesized when it starts, over the current vector alone, and again
+    whenever the vector changes, over one interval per run since its start
+    (the first clipped to the start) and then the new vector, unbounded.
+    The cores to hypothesize are kept on a to-do list. The earliest
+    hypothesis is the next event, and it matches the as-built schedule
+    through the completion. The returned schedule is built at the end: one
+    interval per event, unmerged, then the unbounded tail.
 
     A hypothesis is a completion period, or ``never`` (one past H) if the
     partition cannot converge within the H - start periods left. With no
@@ -378,8 +399,12 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
     """
     horizon = config.hyperperiod_periods
     never = horizon + 1
-    queues = {core: list(reversed(pset.by_core(core))) for core in range(1, config.m + 1)}
-    memory, demand = _demand_sums(config.m, pset.partitions)
+    ids, execution, bounds = pset.ids, pset.execution, pset.bounds
+    queues = {
+        core: [(ids[i], execution[i], pset.memory[i]) for i in reversed(range(bounds[core - 1], bounds[core]))]
+        for core in range(1, len(bounds))
+    }
+    memory, demand = _demand_sums(config.m, pset)
     base = split_budget_by_weights(config.q_total, _memory_weights(memory, demand))
     vector = base
     # Runs of equal vectors: start periods, and the interval of each ended run.
@@ -400,16 +425,16 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
             # Generation guarantees E >= 1 and mu >= 0 and every vector here
             # is over the config's Q, so the closed forms run without the
             # public checks.
-            part, start = queues[core][-1], starts[core]
+            (_, e, mu), start = queues[core][-1], starts[core]
             if start >= run_starts[-1]:
-                span = _static_span(vector, core, part.execution, part.memory, horizon - start)
+                span = _static_span(vector, core, e, mu, horizon - start)
             else:
                 first = bisect_right(run_starts, start) - 1
                 history = runs[first:]
                 if start > run_starts[first]:
                     run = history[0]
                     history[0] = BudgetInterval(run.budgets, run_starts[first + 1] - start)
-                span = _view_span(history, vector, core, part.execution, part.memory, horizon - start)
+                span = _view_span(history, vector, core, e, mu, horizon - start)
             events[core] = never if span is None else start + span
         t_next = min(events.values())
         if t_next == never:
@@ -423,10 +448,10 @@ def policy_dy(pset: PartitionSet, config: ExperimentConfig) -> DynamicPolicyOutc
         for core in [c for c, t in events.items() if t == t_next]:
             del events[core], starts[core]
             queue = queues[core]
-            part = queue.pop()
-            completions[part.id] = t_next
-            memory[core - 1] -= part.memory
-            demand[core - 1] -= part.memory + part.execution
+            pid, e, mu = queue.pop()
+            completions[pid] = t_next
+            memory[core - 1] -= mu
+            demand[core - 1] -= mu + e
             if queue:
                 if t_next >= horizon:
                     # Successor would start at (or past) the deadline.
@@ -461,12 +486,14 @@ def evaluate_schedulability(pset: PartitionSet, policy: str, config: ExperimentC
         raise InvariantError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
     # As in policy_dy, the closed form runs without the public checks.
-    for core in range(1, config.m + 1):
+    horizon = config.hyperperiod_periods
+    execution, memory, bounds = pset.execution, pset.memory, pset.bounds
+    for core in range(1, len(bounds)):
         start = 0
-        for part in pset.by_core(core):
-            if start >= config.hyperperiod_periods:
+        for i in range(bounds[core - 1], bounds[core]):
+            if start >= horizon:
                 return False
-            span = _static_span(vector, core, part.execution, part.memory, config.hyperperiod_periods - start)
+            span = _static_span(vector, core, execution[i], memory[i], horizon - start)
             if span is None:
                 return False
             start += span

@@ -1152,8 +1152,10 @@ def _long_schedule(rng: random.Random, n: int, m: int = 16):
 
 
 def test_long_schedule_is_pinned():
-    # 512 intervals at m = 16: every iterate's split reaches all of them, so
-    # each greedy call merges thousands of segments.
+    # 512 intervals at m = 16, and a span that passes their end: the loop
+    # reads every interval's pieces into its running sums, and the
+    # breakdown sums its 512 rows from the loop's filled pieces. The test
+    # pins that answer and those rows; it bounds no cost.
     schedule, core, workload = _long_schedule(random.Random(512), 512)
     result = analyze_dynamic(workload, schedule, core, RegulationConfig(period=Fraction(Q_BENCH), l_max=Fraction(1)))
     doc = result.to_json_dict()

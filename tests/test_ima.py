@@ -1,6 +1,7 @@
 """Partition-set generation, budget policies, and the schedulability sweep."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -269,8 +270,8 @@ class TestGeneration:
         assert built == []
 
     def test_partitions_carry_no_instance_dict(self):
-        # Generation fills each partition's slots directly, not through the
-        # dataclass __init__: the record must stay slotted and frozen.
+        # The records that partitions and by_core build on each call stay
+        # slotted and frozen, and so does the set.
         pset = _set()
         assert not hasattr(pset, "__dict__")
         assert not any(hasattr(p, "__dict__") for p in pset.partitions)
@@ -280,15 +281,75 @@ class TestGeneration:
                     setattr(p, name, 0)
         assert pset.partitions[0] == Partition(*dataclasses.astuple(pset.partitions[0]))
 
-    def test_by_core_groups_once_in_id_order(self):
+    def test_by_core_builds_records_in_id_order(self):
+        # Each call builds the core's records from the columns; nothing is
+        # cached on the set.
         pset = _set(11)
         for core in range(1, CFG.m + 1):
             group = pset.by_core(core)
             assert group == tuple(p for p in pset.partitions if p.core == core)
-            assert pset.by_core(core) is group
-        assert pset.by_core(0) == pset.by_core(CFG.m + 1) == ()
+            assert pset.by_core(core) == group and pset.by_core(core) is not group
+            assert [p.id for p in group] == sorted(p.id for p in group)
+        assert pset.by_core(0) == pset.by_core(-1) == pset.by_core(CFG.m + 1) == ()
         assert [p.id for p in pset.partitions] == list(range(len(pset.partitions)))
         assert pset == _set(11)
+        # A core below the largest with no partition has an empty run.
+        records = [Partition(id=pid, core=core, execution=10, memory=pid) for pid, core in enumerate((4, 1, 3))]
+        sparse = PartitionSet.from_partitions(records)
+        assert sparse.bounds == (0, 1, 1, 2, 3)
+        assert sparse.by_core(2) == sparse.by_core(5) == ()
+        assert sparse.by_core(4) == (records[0],)
+        assert sparse.partitions == tuple(records)
+        assert PartitionSet.from_partitions([]) == PartitionSet((), (), (), (0,))
+        with pytest.raises(InvariantError):
+            PartitionSet.from_partitions([Partition(id=0, core=0, execution=1, memory=0)])
+
+    def test_set_is_int_columns(self):
+        # A generated set is four tuples of ints in core-major order. No
+        # Partition is reachable from it, and once the collector has run it
+        # tracks none of the columns: a held set is one tracked object.
+        pset = _set(11, ExperimentConfig(m=8, mir=Fraction(1, 4), u=Fraction(1, 2)))
+        assert [f.name for f in dataclasses.fields(PartitionSet)] == ["ids", "execution", "memory", "bounds"]
+        assert pset.bounds == tuple(range(0, 33, 4))
+        assert sorted(pset.ids) == list(range(32))
+        reachable, todo = [], [pset]
+        while todo:
+            for ref in gc.get_referents(todo.pop()):
+                if not isinstance(ref, type):
+                    reachable.append(ref)
+                    todo.append(ref)
+        assert not any(isinstance(obj, Partition) for obj in reachable)
+        columns = [getattr(pset, f.name) for f in dataclasses.fields(pset)]
+        assert all(type(column) is tuple and all(type(v) is int for v in column) for column in columns)
+        gc.collect()
+        assert gc.is_tracked(pset)
+        assert not any(gc.is_tracked(column) for column in columns)
+
+    def test_generation_and_policies_build_no_partition(self, monkeypatch):
+        # Generation appends to the columns and every policy reads them, so
+        # neither constructs a Partition through the module's name; the
+        # counter sees what by_core builds.
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return Partition(*args, **kwargs)
+
+        monkeypatch.setattr(ima, "Partition", counting)
+        for m, u in ((2, Fraction(1, 2)), (8, Fraction(1, 2)), (8, Fraction(3, 10))):
+            cfg = ExperimentConfig(m=m, mir=Fraction(1, 4), u=u)
+            pset = generate_partition_set(cfg, random.Random(5))
+            for policy in POLICIES:
+                evaluate_schedulability(pset, policy, cfg)
+        assert built == []
+        assert len(pset.by_core(1)) == len(built) == 4
+
+    def test_from_partitions_round_trips(self, edge_sets):
+        for _, pset, _ in edge_sets:
+            assert PartitionSet.from_partitions(pset.partitions) == pset
+        dy_loses = PartitionSet.from_partitions(Partition(*row) for row in DY_LOSES)
+        assert PartitionSet.from_partitions(dy_loses.partitions) == dy_loses
+        assert [dataclasses.astuple(p) for p in dy_loses.partitions] == list(DY_LOSES)
 
     def test_round_half_up_on_ties(self):
         assert [_round_half_up(n, d) for n, d in ((5, 2), (0, 1), (1, 2), (3, 2), (7, 4), (5, 4), (1, 3))] == [
@@ -347,7 +408,7 @@ class TestBudgetSplitting:
             Partition(id=pid, core=core, execution=10, memory=0)
             for pid, core in enumerate((1, 3, 4))
         ]
-        sums = _demand_sums(4, unfinished)
+        sums = _demand_sums(4, PartitionSet.from_partitions(unfinished))
         assert _reclaim_vector(BudgetVector((5, 5, 6, 4)), *sums).budgets == (7, 1, 7, 5)
 
 
@@ -556,11 +617,8 @@ DY_LOSES = (
 
 def test_dy_can_fail_where_su_passes():
     cfg = ExperimentConfig(m=6, mir=Fraction(1, 10), u=Fraction(21, 50))
-    pset = PartitionSet(
-        tuple(
-            Partition(id=pid, core=core, execution=e, memory=mu)
-            for pid, core, e, mu in DY_LOSES
-        )
+    pset = PartitionSet.from_partitions(
+        Partition(id=pid, core=core, execution=e, memory=mu) for pid, core, e, mu in DY_LOSES
     )
     assert [evaluate_schedulability(pset, policy, cfg) for policy in POLICIES] == [False, True, False]
     vector = policy_su(pset, cfg)
